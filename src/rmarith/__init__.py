@@ -71,7 +71,6 @@ from .quadforms import (
     class_number,
     class_representatives,
     compose,
-    composition_table,
     enumerate_reduced_forms,
     fundamental_discriminant,
     reduce_form,

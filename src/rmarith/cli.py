@@ -3,8 +3,8 @@
 Subcommands: classgroup, rm-conductor, cf, sha, height, count. Output is a
 human table by default, JSON with --json, CSV with --csv. A persistent
 class-number cache (plain text, versioned) can be pointed at with --cache
-or the RMARITH_CACHE environment variable; it is a pure memo and never
-changes answers.
+or the RMARITH_CACHE environment variable. A malformed cache file or an
+unwritable cache path is an input error.
 
 Exit codes: 0 success, 2 input error, 3 search limit exceeded, 4 internal
 invariant violation.
@@ -18,11 +18,13 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__, cmrm, contfrac, heights, latimer, quadforms
 from .contfrac import QuadraticIrrational
 from .errors import RmarithError, SearchLimitExceeded
+from .intmath import squarefree_core
 
 CACHE_VERSION = "rmarith-cache 1"
 CACHE_ENV = "RMARITH_CACHE"
@@ -50,11 +52,17 @@ class ClassNumberCache:
             return
         if not lines or lines[0] != CACHE_VERSION:
             return  # unknown version: recompute from scratch
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=2):
             parts = line.split()
-            if len(parts) == 3:
+            if not parts:
+                continue
+            try:
                 d, narrow, wide = (int(v) for v in parts)
-                self.entries[d] = (narrow, wide)
+            except ValueError:
+                raise ValueError(
+                    f"cache {self.path} line {number}: expected 'D narrow wide', got {line!r}"
+                ) from None
+            self.entries[d] = (narrow, wide)
 
     def lookup(self, d: int) -> tuple[int, int]:
         if d not in self.entries:
@@ -76,15 +84,17 @@ class ClassNumberCache:
         lines += [f"{d} {n} {w}" for d, (n, w) in sorted(self.entries.items())]
         payload = "\n".join(lines) + "\n"
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rmarith-cache-")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rmarith-cache-")
             with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(payload)
             os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            raise ValueError(f"cannot write cache {self.path}: {exc.strerror}") from None
+        finally:
+            if tmp and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
         self.dirty = False
 
 
@@ -98,6 +108,24 @@ def _emit(args, result: dict, human_lines: list[str], csv_rows: list[list]) -> N
     else:
         for line in human_lines:
             print(line)
+
+
+@contextmanager
+def _long_int_strings():
+    """Lift Python's cap on int/str conversion (3.11+), then restore it.
+
+    Exact answers such as ?(3/64479) = k/2^21492 print with thousands of
+    digits; the cap is restored because tests call main() in-process.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _class_number_fn(cache):
@@ -148,10 +176,9 @@ def cmd_rm_conductor(args, cache) -> None:
         args.d,
         args.f,
         search_limit=args.limit,
-        workers=args.threads,
         class_number_fn=_class_number_fn(cache),
     )
-    core = cmrm._normalize_radicand(args.d)
+    core, _ = squarefree_core(args.d)
     cm_disc = quadforms.fundamental_discriminant(-core) * args.f * args.f
     rm_disc = quadforms.fundamental_discriminant(core) * f_prime * f_prime
     h_fn = _class_number_fn(cache)
@@ -273,15 +300,8 @@ def _parse_theta(text: str):
 
 def cmd_height(args, cache) -> None:
     thetas = [_parse_theta(t) for t in args.theta]
-    values = []
-    for theta in thetas:
-        if isinstance(theta, QuadraticIrrational):
-            values.append(heights.minkowski_q(theta.shift(-theta.floor())))
-        else:
-            values.append(
-                heights.minkowski_q(theta - (theta.numerator // theta.denominator))
-            )
-    h = heights.quantum_height(thetas)
+    values = [heights.question_mark_mod_1(theta) for theta in thetas]
+    h = heights.affine_height(values)
     result = {
         "thetas": [str(t) for t in thetas],
         "question_mark_values": [str(v) for v in values],
@@ -345,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--csv", action="store_true", help="CSV output")
     common.add_argument("--cache", metavar="PATH", help="class-number cache file")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="parallel workers for scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classgroup", parents=[common],
@@ -402,12 +420,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-    cache = None
     path = args.cache or os.environ.get(CACHE_ENV)
-    if path:
-        cache = ClassNumberCache(path)
     try:
-        COMMANDS[args.command](args, cache)
+        cache = ClassNumberCache(path) if path else None
+        try:
+            with _long_int_strings():
+                COMMANDS[args.command](args, cache)
+        finally:
+            if cache:
+                cache.save()
     except SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -417,9 +438,6 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if cache:
-            cache.save()
     return EXIT_OK
 
 

@@ -2,14 +2,11 @@
 
 Given an order of conductor f in Q(sqrt(-d)), the matching real order in
 Q(sqrt(d)) has the least conductor f' whose wide class number equals the
-imaginary side's. The scan is exhaustive from f' = 1, optionally evaluated
-in parallel batches reduced by minimum index, so the answer never depends
-on scheduling.
+imaginary side's. The scan is exhaustive from f' = 1.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,7 +53,7 @@ def rm_conductor(
     d: int,
     f: int,
     search_limit: int = DEFAULT_SEARCH_LIMIT,
-    workers: int = 1,
+    *,
     class_number_fn: Optional[ClassNumberFn] = None,
 ) -> int:
     """Least f' with |Cl(Z + f'*O_Q(sqrt(d)))| = |Cl(Z + f*O_Q(sqrt(-d)))|.
@@ -72,24 +69,9 @@ def rm_conductor(
     rm_disc = fundamental_discriminant(d)
     target = h(cm_disc * f * f, "wide")
 
-    def matches(fp: int) -> bool:
-        return h(rm_disc * fp * fp, "wide") == target
-
-    if workers <= 1:
-        for fp in range(1, search_limit + 1):
-            if matches(fp):
-                return fp
-    else:
-        batch = max(8 * workers, 32)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            start = 1
-            while start <= search_limit:
-                stop = min(start + batch, search_limit + 1)
-                candidates = range(start, stop)
-                for fp, hit in zip(candidates, pool.map(matches, candidates)):
-                    if hit:
-                        return fp
-                start = stop
+    for fp in range(1, search_limit + 1):
+        if h(rm_disc * fp * fp, "wide") == target:
+            return fp
     raise SearchLimitExceeded(target, search_limit)
 
 
@@ -97,11 +79,10 @@ def rm_triple(
     d: int,
     f: int,
     search_limit: int = DEFAULT_SEARCH_LIMIT,
-    workers: int = 1,
 ) -> RMTriple:
     """The real-multiplication data matching complex multiplication by (d, f)."""
     d = _normalize_radicand(d)
-    fp = rm_conductor(d, f, search_limit, workers)
+    fp = rm_conductor(d, f, search_limit)
     d_k = fundamental_discriminant(d)
     order = QuadraticOrder(d_k, fp)
     reps = quadforms.class_representatives(order.discriminant, "wide")

@@ -154,19 +154,24 @@ def projective_height(point: ProjectivePoint) -> int:
     return max(abs(v) for v in point.coordinates)
 
 
+def question_mark_mod_1(theta: Coordinate) -> Fraction:
+    """?(theta - floor(theta)): theta reduced mod 1 into [0, 1) first."""
+    if isinstance(theta, QuadraticIrrational):
+        return minkowski_q(theta.shift(-theta.floor()))
+    frac = Fraction(theta)
+    return minkowski_q(frac - (frac.numerator // frac.denominator))
+
+
 def quantum_height(thetas: Sequence[Coordinate]) -> int:
     """Height of (1, ?(theta_1), ..., ?(theta_n)) after clearing denominators.
 
     Each theta is reduced mod 1 into [0, 1) first.
     """
-    values = []
-    for theta in thetas:
-        if isinstance(theta, QuadraticIrrational):
-            shifted = theta.shift(-theta.floor())
-            values.append(minkowski_q(shifted))
-        else:
-            frac = Fraction(theta)
-            values.append(minkowski_q(frac - (frac.numerator // frac.denominator)))
+    return affine_height([question_mark_mod_1(theta) for theta in thetas])
+
+
+def affine_height(values: Sequence[Fraction]) -> int:
+    """Height of the rational point (1, v_1, ..., v_n) after clearing denominators."""
     den = 1
     for v in values:
         den = lcm(den, v.denominator)

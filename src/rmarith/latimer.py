@@ -209,40 +209,24 @@ def _matrices_with_charpoly(p: tuple[int, ...], bound: int) -> list[Matrix]:
 
     from itertools import product as iproduct
 
-    trace = -p[1]
+    # n == 3, closed form: det(xI - M) = x^3 - t x^2 + s x - det
+    trace, want_s, want_det = -p[1], p[2], -p[3]
     out = []
     rng = range(-bound, bound + 1)
-    if n == 3:
-        # closed form: det(xI - M) = x^3 - t x^2 + s x - det
-        want_s, want_det = p[2], -p[3]
-        for d0, d1, d2 in iproduct(rng, repeat=3):
-            if d0 + d1 + d2 != trace:
-                continue
-            for o0, o1, o2, o3, o4, o5 in iproduct(rng, repeat=6):
-                s = d0 * d1 - o0 * o2 + d0 * d2 - o1 * o4 + d1 * d2 - o3 * o5
-                if s != want_s:
-                    continue
-                det = (
-                    d0 * (d1 * d2 - o3 * o5)
-                    - o0 * (o2 * d2 - o3 * o4)
-                    + o1 * (o2 * o5 - d1 * o4)
-                )
-                if det == want_det:
-                    out.append(((d0, o0, o1), (o2, d1, o3), (o4, o5, d2)))
-        return sorted(set(out))
-    for diag in iproduct(rng, repeat=n):
-        if sum(diag) != trace:
+    for d0, d1, d2 in iproduct(rng, repeat=3):
+        if d0 + d1 + d2 != trace:
             continue
-        off_positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for offs in iproduct(rng, repeat=len(off_positions)):
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                m[i][i] = diag[i]
-            for (i, j), v in zip(off_positions, offs):
-                m[i][j] = v
-            mt = tuple(map(tuple, m))
-            if char_poly(IntegerMatrix(mt)) == p:
-                out.append(mt)
+        for o0, o1, o2, o3, o4, o5 in iproduct(rng, repeat=6):
+            s = d0 * d1 - o0 * o2 + d0 * d2 - o1 * o4 + d1 * d2 - o3 * o5
+            if s != want_s:
+                continue
+            det = (
+                d0 * (d1 * d2 - o3 * o5)
+                - o0 * (o2 * d2 - o3 * o4)
+                + o1 * (o2 * o5 - d1 * o4)
+            )
+            if det == want_det:
+                out.append(((d0, o0, o1), (o2, d1, o3), (o4, o5, d2)))
     return sorted(set(out))
 
 
@@ -290,10 +274,12 @@ def similarity_class_count_bruteforce(
     """Classify bounded-entry integer matrices with characteristic polynomial p.
 
     For an irreducible quadratic p the class count equals the ideal class
-    number of Z[root of p]. Dimensions above 2 are supported for
-    experimentation at tiny bounds only.
+    number of Z[root of p]. Cubic p (3x3 matrices) is supported for
+    experimentation at tiny bounds only; higher degrees raise ValueError.
     """
     p = _validate_charpoly(p)
+    if len(p) > 4:
+        raise ValueError("brute-force classification handles degree 2 and 3 only")
     if entry_bound < 1:
         raise ValueError("entry_bound must be positive")
     candidates = _matrices_with_charpoly(p, entry_bound)

@@ -443,68 +443,53 @@ def compose(
 # Group structure
 
 
-def _invariant_factors(elems: list, op, identity) -> list[int]:
-    if len(elems) == 1:
-        return []
-
-    def elem_order(g):
-        k, acc = 1, g
-        while acc != identity:
-            acc = op(acc, g)
-            k += 1
-        return k
-
-    orders = {g: elem_order(g) for g in elems}
-    g_max = max(elems, key=lambda g: (orders[g], elems.index(g)))
-    m = orders[g_max]
-    subgroup = [identity]
-    acc = g_max
-    while acc != identity:
-        subgroup.append(acc)
-        acc = op(acc, g_max)
-    coset_of = {}
-    cosets = []
-    for x in elems:
-        if x in coset_of:
-            continue
-        cs = frozenset(op(x, h) for h in subgroup)
-        for member in cs:
-            coset_of[member] = cs
-        cosets.append(cs)
-
-    def qop(c1, c2):
-        return coset_of[op(next(iter(c1)), next(iter(c2)))]
-
-    lower = _invariant_factors(cosets, qop, coset_of[identity])
-    return lower + [m]
-
-
-def composition_table(d: int) -> tuple[list[BinaryQuadraticForm], list[list[int]]]:
-    """Canonical class representatives and their full composition table."""
-    reps = enumerate_reduced_forms(d)
-    index = {g: i for i, g in enumerate(reps)}
-    table = []
-    for g in reps:
-        row = []
-        for k in reps:
-            product = compose(g, k)
-            if product not in index:
-                raise AssertionError(f"composition left the class set: {product}")
-            row.append(index[product])
-        table.append(row)
-    return reps, table
+def _power(g: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
+    """g^n for n >= 1 by square-and-multiply."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = g if acc is None else compose(acc, g)
+        n >>= 1
+        if not n:
+            return acc
+        g = compose(g, g)
 
 
 def class_group_structure(d: int) -> ClassGroupStructure:
-    """Invariant factors of the form class group of discriminant d."""
-    reps, table = composition_table(d)
-    principal = canonical_representative(BinaryQuadraticForm.principal(d))
-    identity = reps.index(principal)
-    elems = list(range(len(reps)))
-    factors = _invariant_factors(elems, lambda i, j: table[i][j], identity)
-    if prod(factors) != len(reps):
+    """Invariant factors of the form class group of discriminant d.
+
+    Read off element orders one Sylow subgroup at a time. For p^e exactly
+    dividing h the powers g^(h/p^e) run over the p-part G_p, and
+    |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of order >= p^k).
+    """
+    reps = enumerate_reduced_forms(d)
+    h = len(reps)
+    identity = canonical_representative(BinaryQuadraticForm.principal(d))
+    powers = []
+    for p, e in factorization(h):
+        # orders[k]: elements of G_p of order exactly p^k
+        orders = [0] * (e + 1)
+        for x in {_power(g, h // p**e) for g in reps}:
+            for k in range(e + 1):
+                if x == identity:
+                    orders[k] += 1
+                    break
+                x = _power(x, p)
+            else:
+                raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
+        torsion = [sum(orders[: k + 1]) for k in range(e + 1)]
+        ranks = []
+        for k in range(1, e + 1):
+            q, r = torsion[k] // torsion[k - 1], 0
+            while q > 1:
+                q, r = q // p, r + 1
+            ranks.append(r)
+        ranks.append(0)
+        for k in range(1, e + 1):
+            powers += [p**k] * (ranks[k - 1] - ranks[k])
+    if prod(powers) != h:
         raise AssertionError("invariant factors do not multiply to the order")
-    return ClassGroupStructure(tuple(factors), len(reps))
+    return ClassGroupStructure(tuple(powers), h)
 
 
 def two_part_decomposition(

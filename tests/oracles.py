@@ -146,6 +146,19 @@ def order_multiset_for_divisors(divisors):
     return counter
 
 
+def composition_table(d):
+    """Class representatives of discriminant d and their full h x h table.
+
+    Built on the library's ``compose`` (and its class enumeration), so the
+    group-axiom tests that read this table check ``compose`` itself.
+    """
+    from rmarith.quadforms import compose, enumerate_reduced_forms
+
+    reps = enumerate_reduced_forms(d)
+    index = {g: i for i, g in enumerate(reps)}
+    return reps, [[index[compose(g, k)] for k in reps] for g in reps]
+
+
 def order_multiset_from_table(table, identity):
     counter = Counter()
     for g in range(len(table)):

@@ -14,9 +14,9 @@ import rmarith as rm
 from rmarith import cli
 from rmarith.heights import loglog_slope
 from rmarith.intmath import is_square, squarefree_core
-from rmarith.quadforms import canonical_representative, composition_table, validate_discriminant
+from rmarith.quadforms import canonical_representative, validate_discriminant
 
-from oracles import enumerate_definite_oracle, minkowski_stern_brocot
+from oracles import composition_table, enumerate_definite_oracle, minkowski_stern_brocot
 
 
 @contextmanager

@@ -1,16 +1,27 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from rmarith import cli, quadforms
+from rmarith.heights import minkowski_q
 
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _long_int(text):
+    """int(text) without Python's cap on str-to-int conversion."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def run_json(argv, capsys):
@@ -66,13 +77,6 @@ class TestRmConductor:
     def test_limit_exit_3(self, capsys):
         code, _ = run_cli(["rm-conductor", "-d", "5", "-f", "1", "--limit", "3"], capsys)
         assert code == 3
-
-    def test_threads_same_answer(self, capsys):
-        a = run_json(["rm-conductor", "-d", "26", "-f", "3", "--json"], capsys)
-        b = run_json(
-            ["rm-conductor", "-d", "26", "-f", "3", "--threads", "4", "--json"], capsys
-        )
-        assert a == b
 
 
 class TestCf:
@@ -131,6 +135,19 @@ class TestHeight:
     def test_multiple(self, capsys):
         data = run_json(["height", "--theta", "1/3", "--theta=-1,2,5", "--json"], capsys)
         assert data["height"] == 12
+
+    def test_long_exact_value_prints(self, capsys):
+        # ?(3/64479) has denominator 2^21492, far above Python's default
+        # 4300-digit cap on int/str conversion, which must be back in place
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = cap()
+        code, out = run_cli(["height", "--theta=3/64479", "--json"], capsys)
+        assert code == 0
+        assert cap() == before
+        data = json.loads(out, parse_int=_long_int)
+        num, den = (_long_int(v) for v in data["question_mark_values"][0].split("/"))
+        assert Fraction(num, den) == minkowski_q(Fraction(3, 64479))
+        assert data["height"] == den == 2**21492
 
 
 class TestCount:
@@ -196,6 +213,31 @@ class TestCacheAndRoundTrip:
             run_json(["classgroup", "-D", d, "--json", "--cache", str(cache)], capsys)
         keys = [int(line.split()[0]) for line in cache.read_text().splitlines()[1:]]
         assert keys == sorted(keys)
+
+    def test_malformed_line_exit_2(self, tmp_path, capsys):
+        cache = tmp_path / "bad.cache"
+        cache.write_text(f"{cli.CACHE_VERSION}\n-23 3 x\n")
+        code = cli.main(["classgroup", "-D", "-23", "--cache", str(cache)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "line 2" in err
+
+    def test_unwritable_path_exit_2(self, tmp_path, capsys):
+        cache = tmp_path / "no" / "such" / "dir" / "c"
+        code = cli.main(["classgroup", "-D", "-23", "--cache", str(cache)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write cache")
+        assert not cache.parent.exists()
+
+    def test_search_limit_failure_still_saves(self, tmp_path, capsys):
+        cache = tmp_path / "limit.cache"
+        code = cli.main(
+            ["rm-conductor", "-d", "5", "-f", "1", "--limit", "3", "--cache", str(cache)]
+        )
+        assert code == 3
+        keys = {int(line.split()[0]) for line in cache.read_text().splitlines()[1:]}
+        assert {-20, 5, 20, 45} <= keys  # the target and f' = 1, 2, 3
 
     def test_json_round_trip_recompute(self, capsys):
         first = run_json(["classgroup", "-D", "-104", "--json"], capsys)

@@ -61,10 +61,6 @@ class TestConductorMap:
         with pytest.raises(ValueError):
             rm_conductor(0, 1)
 
-    def test_workers_preserve_answer(self):
-        for d, f in [(5, 1), (26, 3), (2, 4)]:
-            assert rm_conductor(d, f, workers=4) == rm_conductor(d, f)
-
     def test_custom_class_number_fn_is_used(self):
         calls = []
 

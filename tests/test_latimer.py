@@ -109,6 +109,11 @@ class TestSimilarityClasses:
         with pytest.raises(ReducibleCharPoly):
             similarity_class_count_bruteforce((1, -2, 1), 5)
 
+    def test_degree_above_3_rejected(self):
+        # x^4 - 2 is irreducible; brute force stops at 3x3 matrices
+        with pytest.raises(ValueError, match="degree 2 and 3"):
+            similarity_class_count_bruteforce((1, 0, 0, 0, -2), 1)
+
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
             similarity_class_count_bruteforce((1, -6, -1), 1)

@@ -17,15 +17,16 @@ from rmarith import (
     class_number,
     class_representatives,
     compose,
-    composition_table,
     enumerate_reduced_forms,
     reduce_form,
     split_discriminant,
     two_part_decomposition,
 )
+from rmarith import quadforms
 from rmarith.quadforms import _cycle, validate_discriminant
 
 from oracles import (
+    composition_table,
     concordant_compose,
     enumerate_definite_oracle,
     is_reduced_definite,
@@ -211,12 +212,33 @@ class TestCompose:
 class TestStructure:
     @pytest.mark.parametrize(
         "d,divisors",
-        [(-4, ()), (-23, (3,)), (-56, (4,)), (-84, (2, 2)), (-3299, (3, 9))],
+        [
+            (-4, ()),
+            (-23, (3,)),
+            (-56, (4,)),
+            (-84, (2, 2)),
+            (-3299, (3, 9)),
+            (-71999, (257,)),
+            (2042040, (2, 2, 2, 2, 2, 6)),
+        ],
     )
     def test_known_structures(self, d, divisors):
         got = class_group_structure(d)
         assert got.elementary_divisors == divisors
         assert got.h == prod(divisors) if divisors else got.h == 1
+
+    def test_compositions_grow_like_h_log_h(self, monkeypatch):
+        real_compose = quadforms.compose
+        calls = 0
+
+        def counting_compose(f1, f2):
+            nonlocal calls
+            calls += 1
+            return real_compose(f1, f2)
+
+        monkeypatch.setattr(quadforms, "compose", counting_compose)
+        assert class_group_structure(-71999).h == 257
+        assert calls <= 4 * 257 * 9  # 4 h ceil(log2 h)
 
     def test_structure_matches_order_multiset_oracle(self):
         for d in list(valid_discriminants(-400, -1)) + list(valid_discriminants(5, 200)):
