@@ -73,6 +73,16 @@ class ClassNumberCache:
             self.dirty = True
         return self.entries[d]
 
+    def verify(self, d: int) -> None:
+        """Raise ValueError unless the entry for d matches a fresh computation."""
+        cached = self.lookup(d)
+        computed = (quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide"))
+        if cached != computed:
+            raise ValueError(
+                f"cache entry for D {d} disagrees: it holds narrow {cached[0]}, wide {cached[1]}; "
+                f"recomputed narrow {computed[0]}, wide {computed[1]}"
+            )
+
     def class_number(self, d: int, flavor: str = "wide") -> int:
         narrow, wide = self.lookup(d)
         return narrow if flavor == "narrow" else wide
@@ -181,8 +191,11 @@ def cmd_rm_conductor(args, cache) -> None:
     core, _ = squarefree_core(args.d)
     cm_disc = quadforms.fundamental_discriminant(-core) * args.f * args.f
     rm_disc = quadforms.fundamental_discriminant(core) * f_prime * f_prime
-    h_fn = _class_number_fn(cache)
-    target = h_fn(cm_disc, "wide")
+    if cache:
+        # the scan trusted the cache; the two class numbers printed must not
+        cache.verify(cm_disc)
+        cache.verify(rm_disc)
+    target = quadforms.class_number(cm_disc, "wide")
     result = {
         "d": core,
         "f": args.f,
@@ -190,7 +203,7 @@ def cmd_rm_conductor(args, cache) -> None:
         "cm_discriminant": cm_disc,
         "rm_discriminant": rm_disc,
         "cm_class_number": target,
-        "rm_class_number": h_fn(rm_disc, "wide"),
+        "rm_class_number": quadforms.class_number(rm_disc, "wide"),
     }
     human = [
         f"imaginary side    Z + {args.f}*O_Q(sqrt(-{core}))  (discriminant {cm_disc}, h = {target})",

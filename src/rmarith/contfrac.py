@@ -232,8 +232,26 @@ class FundamentalUnit(NamedTuple):
     norm: int
 
 
+# Below this many terms a plain fold beats splitting.
+_WORD_LEAF = 32
+
+
 def _word_matrix(word) -> tuple[int, int, int, int]:
-    """Product of the blocks [[a, 1], [1, 0]] over the word, left to right."""
+    """Product of the blocks [[a, 1], [1, 0]] over the word, left to right.
+
+    Long words are split in halves and the halves' products multiplied, so
+    that big entries of equal size meet (a fold costs O(L^2) on L terms).
+    """
+    if len(word) > _WORD_LEAF:
+        mid = len(word) // 2
+        a11, a12, a21, a22 = _word_matrix(word[:mid])
+        b11, b12, b21, b22 = _word_matrix(word[mid:])
+        return (
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
+        )
     a11, a12, a21, a22 = 1, 0, 0, 1
     for a in word:
         a11, a12, a21, a22 = a11 * a + a12, a11, a21 * a + a22, a21

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
-from .contfrac import fundamental_unit, unit_norm
+from .contfrac import FundamentalUnit, fundamental_unit, unit_norm
 from .errors import (
     DiscriminantMismatch,
     InvalidDiscriminant,
@@ -310,23 +310,53 @@ def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
 # Class numbers
 
 
-@lru_cache(maxsize=None)
-def _real_unit_index(d_k: int, f: int) -> int:
-    """[O_K^* : O_f^*]: least n >= 1 with f dividing the y-part of eps^n.
+@lru_cache(maxsize=64)
+def _field_unit(d_k: int) -> FundamentalUnit:
+    """Fundamental unit of the real field d_k, memoised: a scan builds it once."""
+    return fundamental_unit(d_k)
 
-    Runs modulo 4f so the unit's size never matters.
+
+@lru_cache(maxsize=4096)
+def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
+    """[O_K^* : (Z + p^e*O_K)^*]: the order of eps in (O_K/p^e)^*/(Z/p^e)^*.
+
+    That group has order n = p^(e-1)*(p - (d_k/p)), so eps^n lies in the
+    order; the index is n with every prime stripped while the power stays
+    in the order. Powers run modulo 4p^e (products mod 8p^e, halved), which
+    fixes eps^k modulo 2p^e*O_K, so the unit's size never matters. Writing
+    eps^k = (x + y*sqrt(d_k))/2, it lies in Z + p^e*O_K exactly when p^e | y.
     """
-    x1, y1, _ = fundamental_unit(d_k)
-    m = 4 * f
-    x, y = x1 % m, y1 % m
-    n = 1
-    limit = 16 * f * f + 16
-    while y % f:
-        x, y = ((x * x1 + y * y1 * d_k) % (2 * m)) // 2, ((x * y1 + y * x1) % (2 * m)) // 2
-        n += 1
-        if n > limit:
-            raise AssertionError(f"unit index loop exceeded {limit} for ({d_k}, {f})")
+    x1, y1, _ = _field_unit(d_k)
+    q = p**e
+    m = 4 * q
+
+    def in_order(k: int) -> bool:
+        bx, by = x1 % m, y1 % m
+        x, y = 2, 0  # the unit 1
+        while k:
+            if k & 1:
+                x, y = ((x * bx + d_k * y * by) % (2 * m)) // 2, ((x * by + y * bx) % (2 * m)) // 2
+            k >>= 1
+            if k:
+                bx, by = ((bx * bx + d_k * by * by) % (2 * m)) // 2, bx * by % m
+        return y % q == 0
+
+    n = p ** (e - 1) * (p - kronecker(d_k, p))
+    if not in_order(n):
+        raise AssertionError(f"eps^{n} does not lie in the order of conductor {q} of {d_k}")
+    for r in prime_factors(n):
+        while n % r == 0 and in_order(n // r):
+            n //= r
     return n
+
+
+def _real_unit_index(d_k: int, f: int) -> int:
+    """[O_K^* : O_f^*] for the real field of discriminant d_k.
+
+    Z + f*O_K is the intersection of the orders Z + p^e*O_K over the prime
+    powers p^e exactly dividing f (CRT), so the index is the lcm of theirs.
+    """
+    return lcm(*(_prime_power_unit_index(d_k, p, e) for p, e in factorization(f)))
 
 
 @lru_cache(maxsize=None)
@@ -353,7 +383,7 @@ def _class_numbers(d: int) -> tuple[int, int]:
     wide = h // index
     if d < 0:
         return wide, wide
-    norm_f = unit_norm(d_k) if index % 2 else 1
+    norm_f = _field_unit(d_k).norm if index % 2 else 1
     narrow = wide if norm_f == -1 else 2 * wide
     return narrow, wide
 

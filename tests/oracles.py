@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test: SL(2,Z) word search for reduction, a searched
 concordant pair for composition, direct product-group enumeration for
-structures, scanning Pell solvers, and a Stern-Brocot walk for the
+structures, scanning Pell solvers, a one-power-at-a-time unit-index loop, a
+plain fold of continued-fraction matrices, and a Stern-Brocot walk for the
 question-mark function.
 """
 
@@ -182,6 +183,27 @@ def pell_smallest(d, y_limit=4000):
     raise AssertionError(f"no Pell solution below y={y_limit}")
 
 
+def unit_index_linear(d_k, f):
+    """[O_K^* : O_f^*] by multiplying eps into itself until f divides y.
+
+    Works on (x + y sqrt(d_k))/2 modulo 4f (products mod 8f, halved); the
+    unit comes from the library's ``fundamental_unit``, which the Pell scan
+    above checks.
+    """
+    from rmarith.contfrac import fundamental_unit
+
+    x1, y1, _ = fundamental_unit(d_k)
+    m = 4 * f
+    x, y = x1 % m, y1 % m
+    n = 1
+    while y % f:
+        x, y = ((x * x1 + y * y1 * d_k) % (2 * m)) // 2, ((x * y1 + y * x1) % (2 * m)) // 2
+        n += 1
+        if n > 16 * f * f + 16:
+            raise AssertionError(f"unit index loop ran past 16 f^2 + 16 for ({d_k}, {f})")
+    return n
+
+
 def minkowski_stern_brocot(x: Fraction) -> Fraction:
     """?(x) by walking the Stern-Brocot tree (binary interval halving)."""
     if x == 0 or x == 1:
@@ -223,6 +245,14 @@ def mat_inv2(m):
         (det * m[1][1], -det * m[0][1]),
         (-det * m[1][0], det * m[0][0]),
     )
+
+
+def word_matrix_fold(word):
+    """Product of [[a, 1], [1, 0]] over the word by a left-to-right fold."""
+    m = ((1, 0), (0, 1))
+    for a in word:
+        m = mat_mul2(m, ((a, 1), (1, 0)))
+    return m[0][0], m[0][1], m[1][0], m[1][1]
 
 
 def random_gl2_word(rng, length):

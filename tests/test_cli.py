@@ -239,6 +239,15 @@ class TestCacheAndRoundTrip:
         keys = {int(line.split()[0]) for line in cache.read_text().splitlines()[1:]}
         assert {-20, 5, 20, 45} <= keys  # the target and f' = 1, 2, 3
 
+    def test_wrong_entry_behind_the_match_exit_2(self, tmp_path, capsys):
+        cache = tmp_path / "wrong.cache"
+        cache.write_text(f"{cli.CACHE_VERSION}\n20 2 2\n")
+        code = cli.main(["rm-conductor", "-d", "5", "-f", "1", "--cache", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cache entry for D 20 disagrees")
+
     def test_json_round_trip_recompute(self, capsys):
         first = run_json(["classgroup", "-D", "-104", "--json"], capsys)
         again = run_json(["classgroup", "-D", str(first["D"]), "--json"], capsys)

@@ -1,5 +1,6 @@
 import pytest
 
+from rmarith import quadforms
 from rmarith import (
     BinaryQuadraticForm,
     QuadraticOrder,
@@ -70,6 +71,27 @@ class TestConductorMap:
 
         assert rm_conductor(2, 1, class_number_fn=spy) == 1
         assert calls  # the hook actually ran
+
+    def test_scan_builds_the_field_unit_once(self, monkeypatch):
+        calls = {"fundamental_unit": [], "unit_norm": []}
+
+        def counted(name):
+            real = getattr(quadforms, name)
+
+            def wrapper(d):
+                calls[name].append(d)
+                return real(d)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(quadforms, name, counted(name))
+        for memo in (quadforms._class_numbers, quadforms._field_unit,
+                     quadforms._prime_power_unit_index):
+            memo.cache_clear()
+        assert rm_conductor(9967, 4) == 389
+        d_k = fundamental_discriminant(9967)
+        assert calls == {"fundamental_unit": [d_k], "unit_norm": [d_k]}
 
 
 class TestRMTriple:

@@ -19,9 +19,10 @@ from rmarith import (
     tail_equivalent,
     unit_norm,
 )
+from rmarith import contfrac
 from rmarith.intmath import is_square
 
-from oracles import pell_smallest
+from oracles import pell_smallest, word_matrix_fold
 
 
 def random_quadratic_irrational(rng, pmax=50, qmax=50, dmax=1000):
@@ -266,6 +267,13 @@ class TestFundamentalUnit:
                 continue
             assert unit_norm(d) == fundamental_unit(d).norm
 
+    def test_long_period_unit_matches_folded_unit(self, monkeypatch):
+        d = 4 * 1000000007
+        split = fundamental_unit(d)
+        monkeypatch.setattr(contfrac, "_word_matrix", word_matrix_fold)
+        assert split == fundamental_unit(d)
+        assert split.y.bit_length() > 20000
+
     def test_invalid(self):
         with pytest.raises(InvalidDiscriminant):
             fundamental_unit(7)
@@ -273,6 +281,27 @@ class TestFundamentalUnit:
             fundamental_unit(16)
         with pytest.raises(InvalidDiscriminant):
             fundamental_unit(-8)
+
+
+class TestWordMatrix:
+    def test_matches_fold_at_the_leaf_boundary(self):
+        rng = random.Random(47)
+        leaf = contfrac._WORD_LEAF
+        for length in (0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf + 1):
+            word = [rng.randint(1, 50) for _ in range(length)]
+            assert contfrac._word_matrix(word) == word_matrix_fold(word), length
+
+    def test_matches_fold_on_random_words(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            word = tuple(rng.randint(1, 1000) for _ in range(rng.randint(0, 2000)))
+            assert contfrac._word_matrix(word) == word_matrix_fold(word)
+
+    def test_evaluate_round_trips_a_long_period(self):
+        x = QuadraticIrrational(5, 3, 4 * 1000000007)
+        cf = cf_expand(x)
+        assert len(cf.period) > 4 * contfrac._WORD_LEAF
+        assert evaluate(cf) == x
 
 
 class TestContinuedFractionType:

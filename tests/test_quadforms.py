@@ -33,6 +33,7 @@ from oracles import (
     is_reduced_indefinite,
     order_multiset_for_divisors,
     order_multiset_from_table,
+    unit_index_linear,
     word_search_reduce,
 )
 
@@ -154,6 +155,13 @@ class TestClassNumber:
     def test_wide_vs_narrow_definite_agree(self):
         for d in valid_discriminants(-300, 0):
             assert class_number(d, "narrow") == class_number(d, "wide")
+
+    def test_unit_index_matches_linear_loop(self):
+        for d_k in valid_discriminants(5, 300):
+            if split_discriminant(d_k)[1] != 1:
+                continue
+            for f in range(1, 81):
+                assert quadforms._real_unit_index(d_k, f) == unit_index_linear(d_k, f), (d_k, f)
 
     def test_flavor_validation(self):
         with pytest.raises(ValueError):
