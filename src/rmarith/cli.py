@@ -138,10 +138,6 @@ def _long_int_strings():
         sys.set_int_max_str_digits(old)
 
 
-def _class_number_fn(cache):
-    return cache.class_number if cache else quadforms.class_number
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -154,8 +150,9 @@ def cmd_classgroup(args, cache) -> None:
     else:
         raise ValueError("give -D or -d (with optional -f)")
     quadforms.validate_discriminant(d)
-    h_fn = _class_number_fn(cache)
-    narrow, wide = h_fn(d, "narrow"), h_fn(d, "wide")
+    narrow, wide = quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide")
+    if cache:
+        cache.verify(d)
     structure = quadforms.class_group_structure(d)
     reps = quadforms.enumerate_reduced_forms(d)
     if structure.h != narrow:
@@ -186,7 +183,7 @@ def cmd_rm_conductor(args, cache) -> None:
         args.d,
         args.f,
         search_limit=args.limit,
-        class_number_fn=_class_number_fn(cache),
+        class_number_fn=cache.class_number if cache else quadforms.class_number,
     )
     core, _ = squarefree_core(args.d)
     cm_disc = quadforms.fundamental_discriminant(-core) * args.f * args.f

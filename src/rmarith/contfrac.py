@@ -2,10 +2,10 @@
 
 Everything here is exact: quadratic irrationals are (P + sqrt(D))/Q triples
 of integers, expansions run on the (P, Q) state recurrence (never on floats),
-and periodicity is detected by exact state repetition, which also proves
-termination (Lagrange). The same machinery yields fundamental units of real
-quadratic orders, Effros-Shen block sequences and tail equivalence of
-expansions.
+and the period starts at the first reduced complete quotient and ends when
+that state returns (Galois), which Lagrange's theorem guarantees to happen.
+The same machinery yields fundamental units of real quadratic orders,
+Effros-Shen block sequences and tail equivalence of expansions.
 """
 
 from __future__ import annotations
@@ -258,38 +258,44 @@ def _word_matrix(word) -> tuple[int, int, int, int]:
     return a11, a12, a21, a22
 
 
-def _expand_states(
-    value: QuadraticIrrational,
-) -> tuple[list[int], list[tuple[int, int]], int]:
-    """Run the (P, Q) recurrence until a state repeats.
+def _expand_states(value: QuadraticIrrational) -> tuple[list[int], int, tuple[int, int]]:
+    """Run the (P, Q) recurrence through the preperiod and one period.
 
-    Returns (terms, states, cycle_start): terms[k] is the partial quotient of
-    state states[k], and states[cycle_start:] is the minimal cycle.
+    Returns (terms, cycle_start, first): terms[cycle_start:] is the minimal
+    period and first is the (P, Q) state that starts it. By Galois' theorem
+    the period starts at the first reduced complete quotient (P + sqrt(d))/Q,
+    the state with Q > 0, P <= s and s - P < Q <= s + P (s = isqrt(d)), and
+    closes when that state comes back.
     """
     p, q, d = value.p, value.q, value.d
     s = isqrt(d)
-    seen: dict[tuple[int, int], int] = {}
     terms: list[int] = []
-    states: list[tuple[int, int]] = []
-    while (p, q) not in seen:
-        seen[(p, q)] = len(terms)
-        states.append((p, q))
+    while not (0 < q <= s + p and p <= s and s - p < q):
         a = (p + s) // q if q > 0 else -((p + s) // -q) - 1
         terms.append(a)
         p = a * q - p
         q = (d - p * p) // q
-    return terms, states, seen[(p, q)]
+    start = len(terms)
+    first = (p, q)
+    while True:
+        a = (p + s) // q  # q > 0 on the cycle
+        terms.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+        if (p, q) == first:
+            return terms, start, first
 
 
 def cf_expand(x: Union[QuadraticIrrational, Rational]) -> ContinuedFraction:
     """Exact continued fraction of a rational or quadratic irrational.
 
     Rationals get the finite Euclidean expansion (canonical, last entry >= 2);
-    quadratic irrationals get the exact preperiod and minimal period found by
-    state repetition, which Lagrange's theorem guarantees to occur.
+    quadratic irrationals get the exact preperiod and minimal period, which
+    starts at the first reduced complete quotient (Galois) and ends when that
+    state returns.
     """
     if isinstance(x, QuadraticIrrational):
-        terms, _, start = _expand_states(x)
+        terms, start, _ = _expand_states(x)
         return ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]))
     x = Fraction(x)
     num, den = x.numerator, x.denominator
@@ -393,9 +399,8 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     reduced complete quotient, and the fixed-point relation is the unit.
     """
     _validate_real_discriminant(d)
-    terms, states, start = _expand_states(_omega(d))
+    terms, start, (ps, qs) = _expand_states(_omega(d))
     _, _, a21, a22 = _word_matrix(terms[start:])
-    ps, qs = states[start]
     if (2 * a21) % qs:
         raise AssertionError("unit does not lie in the order")
     y = 2 * a21 // qs
@@ -413,5 +418,5 @@ def unit_norm(d: int) -> int:
     building the (possibly huge) unit itself.
     """
     _validate_real_discriminant(d)
-    terms, _, start = _expand_states(_omega(d))
+    terms, start, _ = _expand_states(_omega(d))
     return -1 if (len(terms) - start) % 2 else 1

@@ -28,19 +28,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); return (x, lcm).
-
-    Raises ValueError when the congruences are incompatible.
-    """
-    g, u, _ = xgcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ValueError("incompatible congruences")
-    l = m1 // g * m2
-    x = (r1 + (r2 - r1) // g * u % (m2 // g) * m1) % l
-    return x, l
-
-
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of |n|, ascending (trial division)."""

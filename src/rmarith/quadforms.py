@@ -24,7 +24,6 @@ from .errors import (
     SquareDiscriminant,
 )
 from .intmath import (
-    crt_pair,
     divisors,
     factorization,
     is_square,
@@ -217,11 +216,34 @@ def _rho(a: int, b: int, c: int, d: int, s: int) -> tuple[int, int, int]:
     return c, b2, (b2 * b2 - d) // (4 * c)
 
 
-def _reduce_indefinite(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+def _reduce(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """Reduced form equivalent to (a, b, c) of discriminant d (unchecked)."""
+    if d < 0:
+        return _reduce_definite(a, b, c)
     s = isqrt(d)
     while not _is_reduced_indefinite(a, b, s):
         a, b, c = _rho(a, b, c, d, s)
     return a, b, c
+
+
+def _cycle(a: int, b: int, c: int, d: int):
+    """The rho-cycle through the reduced indefinite form (a, b, c), as tuples."""
+    s = isqrt(d)
+    start = form = (a, b, c)
+    while True:
+        yield form
+        form = _rho(*form, d, s)
+        if form == start:
+            return
+
+
+def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """The reduced form (D < 0) or the least (a, b) on the rho-cycle (D > 0).
+
+    c is fixed by (a, b) and d, so tuple order is (a, b) order.
+    """
+    form = _reduce(a, b, c, d)
+    return form if d < 0 else min(_cycle(*form, d))
 
 
 def reduce_form(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -231,22 +253,7 @@ def reduce_form(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     D > 0 it is some form on the class's rho-cycle.
     """
     d = _require_form(form)
-    if d < 0:
-        return BinaryQuadraticForm(*_reduce_definite(form.a, form.b, form.c))
-    return BinaryQuadraticForm(*_reduce_indefinite(form.a, form.b, form.c, d))
-
-
-def _cycle(form: BinaryQuadraticForm) -> list[BinaryQuadraticForm]:
-    """The rho-cycle through a reduced indefinite form."""
-    d = form.discriminant
-    s = isqrt(d)
-    start = (form.a, form.b, form.c)
-    out = [form]
-    cur = _rho(*start, d, s)
-    while cur != start:
-        out.append(BinaryQuadraticForm(*cur))
-        cur = _rho(*cur, d, s)
-    return out
+    return BinaryQuadraticForm(*_reduce(form.a, form.b, form.c, d))
 
 
 def canonical_representative(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -255,10 +262,8 @@ def canonical_representative(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     The unique reduced form for D < 0; the lexicographically least (a, b)
     on the reduction cycle for D > 0.
     """
-    red = reduce_form(form)
-    if red.discriminant < 0:
-        return red
-    return min(_cycle(red), key=lambda g: (g.a, g.b))
+    d = _require_form(form)
+    return BinaryQuadraticForm(*_canonical(form.a, form.b, form.c, d))
 
 
 def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
@@ -290,20 +295,20 @@ def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
                 continue
             c = n // a
             if gcd(gcd(a, b), c) == 1:
-                reduced.add(BinaryQuadraticForm(a, b, -c))
-                reduced.add(BinaryQuadraticForm(-a, b, c))
+                reduced.add((a, b, -c))
+                reduced.add((-a, b, c))
     reps = []
-    seen: set[BinaryQuadraticForm] = set()
-    for form in sorted(reduced, key=lambda g: (g.a, g.b)):
+    seen: set[tuple[int, int, int]] = set()
+    for form in sorted(reduced):
         if form in seen:
             continue
-        cycle = _cycle(form)
-        for g in cycle:
+        for g in _cycle(*form, d):
             if g not in reduced:
                 raise AssertionError(f"cycle of {form} left the reduced set at {g}")
             seen.add(g)
-        reps.append(min(cycle, key=lambda g: (g.a, g.b)))
-    return sorted(reps, key=lambda g: (g.a, g.b))
+        # forms are visited in ascending order, so the first of a cycle is its least
+        reps.append(BinaryQuadraticForm(*form))
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +355,6 @@ def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
     return n
 
 
-def _real_unit_index(d_k: int, f: int) -> int:
-    """[O_K^* : O_f^*] for the real field of discriminant d_k.
-
-    Z + f*O_K is the intersection of the orders Z + p^e*O_K over the prime
-    powers p^e exactly dividing f (CRT), so the index is the lcm of theirs.
-    """
-    return lcm(*(_prime_power_unit_index(d_k, p, e) for p, e in factorization(f)))
-
-
 @lru_cache(maxsize=None)
 def _class_numbers(d: int) -> tuple[int, int]:
     """(narrow, wide) class numbers of the order of discriminant d."""
@@ -371,13 +367,15 @@ def _class_numbers(d: int) -> tuple[int, int]:
         return narrow, wide
 
     _, wide_k = _class_numbers(d_k)
-    if d_k < 0:
-        index = {(-3): 3, (-4): 2}.get(d_k, 1)
-    else:
-        index = _real_unit_index(d_k, f)
+    # index = [O_K^* : O_f^*]. For d_k > 0, Z + f*O_K is the intersection of
+    # the orders Z + p^e*O_K over p^e exactly dividing f (CRT), so the index
+    # is the lcm of theirs.
+    index = {(-3): 3, (-4): 2}.get(d_k, 1)
     h = wide_k
     for p, e in factorization(f):
         h *= p ** (e - 1) * (p - kronecker(d_k, p))
+        if d_k > 0:
+            index = lcm(index, _prime_power_unit_index(d_k, p, e))
     if h % index:
         raise AssertionError(f"conductor formula not integral at D={d}")
     wide = h // index
@@ -405,84 +403,53 @@ def class_number(d: int, flavor: str = "wide") -> int:
 # Composition
 
 
-def _transform(a: int, b: int, c: int, m11: int, m21: int, m12: int, m22: int):
-    """Substitute (x, y) -> (m11 x + m12 y, m21 x + m22 y)."""
-    a2 = a * m11 * m11 + b * m11 * m21 + c * m21 * m21
-    c2 = a * m12 * m12 + b * m12 * m22 + c * m22 * m22
-    b2 = 2 * a * m11 * m12 + b * (m11 * m22 + m12 * m21) + 2 * c * m21 * m22
-    return a2, b2, c2
+def _compose(
+    f: tuple[int, int, int], g: tuple[int, int, int], d: int
+) -> tuple[int, int, int]:
+    """Dirichlet composition of primitive forms of discriminant d (unchecked).
 
-
-def _coprime_representation(a: int, b: int, c: int, m: int) -> tuple[int, int]:
-    """Coprime (x, y) with the form's value at (x, y) coprime to m.
-
-    Residues are picked prime by prime (a, c or a+b+c is a unit mod p for a
-    primitive form) and glued by CRT, so no search over values is needed.
+    With beta = (b1 + b2)/2 and e = gcd(a1, a2, beta) = u*a1 + v*a2 + w*beta,
+    the product is (a3, b3, c3) with a3 = a1*a2/e^2,
+    b3 = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + d)/2)/e mod 2|a3| and
+    c3 = (b3^2 - d)/(4*a3) (Buell, Binary Quadratic Forms, Thm 4.10).
+    The result is not reduced.
     """
-    m = abs(m)
-    if m == 1:
-        return 1, 0
-    x, y, mod = 0, 0, 1
-    for p in prime_factors(m):
-        if a % p:
-            tx, ty = 1, 0
-        elif c % p:
-            tx, ty = 0, 1
-        else:
-            tx, ty = 1, 1
-        x, _ = crt_pair(x, mod, tx, p)
-        y, mod = crt_pair(y, mod, ty, p)
-    if x == 0:
-        return 0, 1
-    k = 0
-    while gcd(x, y + k * mod) != 1:
-        k += 1
-        if k > 10000:
-            raise AssertionError("coprime lift not found")
-    return x, y + k * mod
+    a1, b1, _ = f
+    a2, b2, _ = g
+    g12, u1, v1 = xgcd(a1, a2)
+    e, t, w = xgcd(g12, (b1 + b2) // 2)  # u = t*u1, v = t*v1
+    a3 = a1 * a2 // (e * e)
+    b3 = (t * (u1 * a1 * b2 + v1 * a2 * b1) + w * ((b1 * b2 + d) // 2)) // e % (2 * abs(a3))
+    return a3, b3, (b3 * b3 - d) // (4 * a3)
 
 
 def compose(
     f1: BinaryQuadraticForm, f2: BinaryQuadraticForm
 ) -> BinaryQuadraticForm:
-    """Gauss composition, returned as the canonical class representative.
-
-    f1 is moved by an explicit SL(2,Z) substitution onto a form whose
-    leading coefficient is coprime to f2's, the middle coefficients are
-    united by CRT, and the concordant pair composes directly.
-    """
+    """Gauss composition (Dirichlet's formula), returned as the canonical
+    class representative."""
     d1 = _require_form(f1)
     d2 = _require_form(f2)
     if d1 != d2:
         raise DiscriminantMismatch(f"{d1} != {d2}")
-    x, y = _coprime_representation(f1.a, f1.b, f1.c, f2.a)
-    _, u, v = xgcd(x, y)
-    a1, b1, _ = _transform(f1.a, f1.b, f1.c, x, y, -v, u)
-    b_united, _ = crt_pair(b1, 2 * abs(a1), f2.b, 2 * abs(f2.a))
-    a3 = a1 * f2.a
-    num = b_united * b_united - d1
-    if num % (4 * a3):
-        raise AssertionError("united middle coefficient is inconsistent")
-    composed = BinaryQuadraticForm(a3, b_united, num // (4 * a3))
-    if not composed.is_primitive:
-        raise AssertionError(f"composition of {f1} and {f2} lost primitivity")
-    return canonical_representative(composed)
+    product = _compose((f1.a, f1.b, f1.c), (f2.a, f2.b, f2.c), d1)
+    return BinaryQuadraticForm(*_canonical(*product, d1))
 
 
 # ---------------------------------------------------------------------------
 # Group structure
 
 
-def _power(g: BinaryQuadraticForm, n: int) -> BinaryQuadraticForm:
-    """g^n for n >= 1 by square-and-multiply."""
+def _power(g: tuple[int, int, int], n: int, d: int) -> tuple[int, int, int]:
+    """Canonical representative of g^n for n >= 1, by square-and-multiply."""
     acc = None
     while True:
         if n & 1:
-            acc = g if acc is None else compose(acc, g)
+            acc = g if acc is None else _reduce(*_compose(acc, g, d), d)
         n >>= 1
         if not n:
-            return acc
-        g = compose(g, g)
+            return _canonical(*acc, d)
+        g = _reduce(*_compose(g, g, d), d)
 
 
 def class_group_structure(d: int) -> ClassGroupStructure:
@@ -492,19 +459,20 @@ def class_group_structure(d: int) -> ClassGroupStructure:
     dividing h the powers g^(h/p^e) run over the p-part G_p, and
     |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of order >= p^k).
     """
-    reps = enumerate_reduced_forms(d)
+    reps = [(g.a, g.b, g.c) for g in enumerate_reduced_forms(d)]
     h = len(reps)
-    identity = canonical_representative(BinaryQuadraticForm.principal(d))
+    principal = BinaryQuadraticForm.principal(d)
+    identity = _canonical(principal.a, principal.b, principal.c, d)
     powers = []
     for p, e in factorization(h):
         # orders[k]: elements of G_p of order exactly p^k
         orders = [0] * (e + 1)
-        for x in {_power(g, h // p**e) for g in reps}:
+        for x in {_power(g, h // p**e, d) for g in reps}:
             for k in range(e + 1):
                 if x == identity:
                     orders[k] += 1
                     break
-                x = _power(x, p)
+                x = _power(x, p, d)
             else:
                 raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
         torsion = [sum(orders[: k + 1]) for k in range(e + 1)]
@@ -559,18 +527,16 @@ def class_representatives(d: int, flavor: str = "narrow") -> list[BinaryQuadrati
     if flavor == "narrow" or d < 0 or unit_norm(d) == -1:
         return reps
     b0 = d % 2
-    twist = canonical_representative(
-        BinaryQuadraticForm(-1, b0, (d - b0 * b0) // 4)
-    )
+    twist = _canonical(-1, b0, (d - b0 * b0) // 4, d)
     out = []
     seen = set()
-    for g in reps:
+    for g in ((r.a, r.b, r.c) for r in reps):
         if g in seen:
             continue
-        partner = compose(g, twist)
+        partner = _canonical(*_compose(g, twist, d), d)
         if partner == g:
             raise AssertionError("norm -1 twist fixed a class despite unit norm +1")
         seen.add(g)
         seen.add(partner)
-        out.append(min(g, partner, key=lambda q: (q.a, q.b)))
-    return sorted(out, key=lambda q: (q.a, q.b))
+        out.append(min(g, partner))
+    return [BinaryQuadraticForm(*g) for g in sorted(out)]

@@ -4,8 +4,9 @@ Everything here is deliberately naive and shares no code path with the
 implementations under test: SL(2,Z) word search for reduction, a searched
 concordant pair for composition, direct product-group enumeration for
 structures, scanning Pell solvers, a one-power-at-a-time unit-index loop, a
-plain fold of continued-fraction matrices, and a Stern-Brocot walk for the
-question-mark function.
+plain fold of continued-fraction matrices, continued-fraction periods found
+by remembering every state, and a Stern-Brocot walk for the question-mark
+function.
 """
 
 from __future__ import annotations
@@ -202,6 +203,24 @@ def unit_index_linear(d_k, f):
         if n > 16 * f * f + 16:
             raise AssertionError(f"unit index loop ran past 16 f^2 + 16 for ({d_k}, {f})")
     return n
+
+
+def expand_by_state_repetition(p, q, d):
+    """Continued fraction of (p + sqrt(d))/q, with q | d - p^2, by remembering
+    every (P, Q) state until one repeats.
+
+    Returns (terms, cycle_start): terms[cycle_start:] is the minimal period.
+    """
+    s = isqrt(d)
+    seen = {}
+    terms = []
+    while (p, q) not in seen:
+        seen[(p, q)] = len(terms)
+        a = (p + s) // q if q > 0 else -((p + s) // -q) - 1
+        terms.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    return terms, seen[(p, q)]
 
 
 def minkowski_stern_brocot(x: Fraction) -> Fraction:

@@ -248,6 +248,16 @@ class TestCacheAndRoundTrip:
         assert captured.out == ""
         assert captured.err.startswith("error: cache entry for D 20 disagrees")
 
+    def test_wrong_classgroup_entry_exit_2(self, tmp_path, capsys):
+        cache = tmp_path / "wrong.cache"
+        cache.write_text(f"{cli.CACHE_VERSION}\n-23 7 7\n")
+        code = cli.main(["classgroup", "-D", "-23", "--cache", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cache entry for D -23 disagrees")
+        assert "Traceback" not in captured.err
+
     def test_json_round_trip_recompute(self, capsys):
         first = run_json(["classgroup", "-D", "-104", "--json"], capsys)
         again = run_json(["classgroup", "-D", str(first["D"]), "--json"], capsys)

@@ -22,7 +22,7 @@ from rmarith import (
 from rmarith import contfrac
 from rmarith.intmath import is_square
 
-from oracles import pell_smallest, word_matrix_fold
+from oracles import expand_by_state_repetition, pell_smallest, word_matrix_fold
 
 
 def random_quadratic_irrational(rng, pmax=50, qmax=50, dmax=1000):
@@ -110,6 +110,14 @@ class TestExpand:
             assert value == x, (x, cf)
             a, b, c = x.min_poly()
             assert value.satisfies(a, b, c)
+
+    def test_period_matches_state_repetition_oracle(self):
+        rng = random.Random(37)
+        for _ in range(500):
+            x = random_quadratic_irrational(rng, 200, 200, 5000)
+            terms, start = expand_by_state_repetition(x.p, x.q, x.d)
+            assert contfrac._expand_states(x)[:2] == (terms, start), x
+            assert cf_expand(x) == ContinuedFraction(tuple(terms[:start]), tuple(terms[start:])), x
 
     def test_galois_purely_periodic_iff_reduced(self):
         rng = random.Random(29)

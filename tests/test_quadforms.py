@@ -1,7 +1,9 @@
 import random
-from math import prod
+from collections import Counter
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmarith import (
     BinaryQuadraticForm,
@@ -23,9 +25,13 @@ from rmarith import (
     two_part_decomposition,
 )
 from rmarith import quadforms
+from rmarith.intmath import factorization
 from rmarith.quadforms import _cycle, validate_discriminant
 
 from oracles import (
+    apply_s,
+    apply_t,
+    apply_t_inv,
     composition_table,
     concordant_compose,
     enumerate_definite_oracle,
@@ -61,7 +67,7 @@ class TestReduce:
         f = BinaryQuadraticForm(1, 2, -1)  # D = 8, already reduced
         red = reduce_form(f)
         assert is_reduced_indefinite(red.a, red.b, red.c, 8)
-        assert red in _cycle(f)
+        assert (red.a, red.b, red.c) in _cycle(f.a, f.b, f.c, 8)
 
     def test_errors(self):
         with pytest.raises(NonPrimitiveForm):
@@ -116,7 +122,7 @@ class TestEnumerate:
             cycles = []
             for g in reps:
                 assert is_reduced_indefinite(g.a, g.b, g.c, d)
-                cycles.append(frozenset(_cycle(g)))
+                cycles.append(frozenset(_cycle(g.a, g.b, g.c, d)))
             for i in range(len(cycles)):
                 for j in range(i + 1, len(cycles)):
                     assert not (cycles[i] & cycles[j]), d
@@ -161,7 +167,25 @@ class TestClassNumber:
             if split_discriminant(d_k)[1] != 1:
                 continue
             for f in range(1, 81):
-                assert quadforms._real_unit_index(d_k, f) == unit_index_linear(d_k, f), (d_k, f)
+                # the index for f is the lcm of the indices for p^e exactly dividing f
+                parts = [quadforms._prime_power_unit_index(d_k, p, e) for p, e in factorization(f)]
+                index = lcm(1, *parts)
+                assert index == unit_index_linear(d_k, f), (d_k, f)
+
+    def test_conductor_factored_once(self, monkeypatch):
+        real_factorization = quadforms.factorization
+        calls = Counter()
+
+        def counting_factorization(n):
+            calls[n] += 1
+            return real_factorization(n)
+
+        monkeypatch.setattr(quadforms, "factorization", counting_factorization)
+        quadforms._class_numbers.cache_clear()
+        for d_k, f in [(5, 12), (8, 9), (13, 10), (21, 6), (24, 35), (5, 64)]:
+            calls.clear()
+            class_number(d_k * f * f, "narrow")
+            assert calls == Counter({f: 1}), (d_k, f)
 
     def test_flavor_validation(self):
         with pytest.raises(ValueError):
@@ -217,6 +241,44 @@ class TestCompose:
                         assert table[table[i][j]][k] == table[i][table[j][k]]
 
 
+# Valid discriminants with |D| <= 5000, either sign.
+SMALL_DISCRIMINANTS = st.one_of(
+    st.sampled_from(list(valid_discriminants(-5000, 0))),
+    st.sampled_from(list(valid_discriminants(5, 5001))),
+)
+PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def forms_of_one_discriminant(draw, count):
+    """count primitive forms of one discriminant, each a short SL(2,Z) image
+    of a reduced representative, so most are not reduced."""
+    reps = enumerate_reduced_forms(draw(SMALL_DISCRIMINANTS))
+    forms = []
+    for _ in range(count):
+        g = draw(st.sampled_from(reps))
+        form = (g.a, g.b, g.c)
+        for step in draw(st.lists(st.sampled_from((apply_s, apply_t, apply_t_inv)), max_size=6)):
+            form = step(*form)
+        forms.append(BinaryQuadraticForm(*form))
+    return forms
+
+
+class TestComposeProperties:
+    @PROPERTY_SETTINGS
+    @given(forms_of_one_discriminant(2))
+    def test_matches_concordant_oracle_on_unreduced_forms(self, forms):
+        f1, f2 = forms
+        raw = concordant_compose((f1.a, f1.b, f1.c), (f2.a, f2.b, f2.c))
+        assert compose(f1, f2) == canonical_representative(BinaryQuadraticForm(*raw))
+
+    @PROPERTY_SETTINGS
+    @given(forms_of_one_discriminant(3))
+    def test_associative(self, forms):
+        f, g, k = forms
+        assert compose(compose(f, g), k) == compose(f, compose(g, k))
+
+
 class TestStructure:
     @pytest.mark.parametrize(
         "d,divisors",
@@ -236,17 +298,17 @@ class TestStructure:
         assert got.h == prod(divisors) if divisors else got.h == 1
 
     def test_compositions_grow_like_h_log_h(self, monkeypatch):
-        real_compose = quadforms.compose
+        real_compose = quadforms._compose
         calls = 0
 
-        def counting_compose(f1, f2):
+        def counting_compose(f, g, d):
             nonlocal calls
             calls += 1
-            return real_compose(f1, f2)
+            return real_compose(f, g, d)
 
-        monkeypatch.setattr(quadforms, "compose", counting_compose)
+        monkeypatch.setattr(quadforms, "_compose", counting_compose)
         assert class_group_structure(-71999).h == 257
-        assert calls <= 4 * 257 * 9  # 4 h ceil(log2 h)
+        assert 0 < calls <= 4 * 257 * 9  # 4 h ceil(log2 h)
 
     def test_structure_matches_order_multiset_oracle(self):
         for d in list(valid_discriminants(-400, -1)) + list(valid_discriminants(5, 200)):
