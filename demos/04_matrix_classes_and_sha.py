@@ -24,7 +24,7 @@ for rows in ([[1, 1], [1, 0]], [[2, 1], [1, 1]], [[6, 1], [1, 0]]):
     cl = ideal_classes_for_matrix(b)
     print(f"B = {b}:  char poly {poly},  Perron eigenvalue {eig},  h = {cl.h}")
 
-print("\n=== Counting GL(2,Z)-similarity classes by brute force ===")
+print("\n=== Counting GL(2,Z)-similarity classes by Latimer-MacDuffee ===")
 print("(classes of matrices with a fixed irreducible char poly match the")
 print(" ideal class number of the order generated by a root)")
 for poly in [(1, -1, -1), (1, -6, -1), (1, 1, 6)]:

@@ -219,6 +219,14 @@ def _parse_ints(text: str, expected: int | None = None) -> list[int]:
     return values
 
 
+def _parse_fraction(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"{text}: zero denominator")
+    return Fraction(int(num), den)
+
+
 def cmd_cf(args, cache) -> None:
     given = [v for v in (args.sqrt, args.surd, args.rational) if v is not None]
     if len(given) != 1:
@@ -231,8 +239,7 @@ def cmd_cf(args, cache) -> None:
         value = QuadraticIrrational(p, q, d)
         shown = str(value)
     else:
-        num, _, den = args.rational.partition("/")
-        value = Fraction(int(num), int(den) if den else 1)
+        value = _parse_fraction(args.rational)
         shown = str(value)
     flag, cf = contfrac.is_rm(value)
     count = args.terms
@@ -304,8 +311,7 @@ def _parse_theta(text: str):
     if "," in text:
         p, q, d = _parse_ints(text, 3)
         return QuadraticIrrational(p, q, d)
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return _parse_fraction(text)
 
 
 def cmd_height(args, cache) -> None:
@@ -339,9 +345,9 @@ def cmd_count(args, cache) -> None:
     rows_data = []
     for t in ts:
         if args.classical:
-            n_points = heights.counting_function(heights.projective_points(args.n, t), t)
+            n_points = heights.counting_function(heights.projective_points(args.n, t))
         else:
-            n_points = heights.counting_function(heights.quantum_theta_points(args.n, t), t)
+            n_points = heights.counting_function(heights.quantum_theta_points(args.n, t))
         rows_data.append((t, n_points))
     slope = heights.loglog_slope(rows_data)
     from math import log2

@@ -92,34 +92,28 @@ def minkowski_q(x: Union[Rational, QuadraticIrrational]) -> Fraction:
     if isinstance(x, QuadraticIrrational):
         if x.compare(0) < 0 or x.compare(1) > 0:
             raise OutOfDomain(f"{x} is not in (0, 1)")
-        cf = cf_expand(x)
-        terms = cf.preperiod[1:]  # skip the leading 0
-        total = Fraction(0)
-        running = 0
-        for k, a in enumerate(terms, start=1):
-            running += a
-            total += Fraction((-1) ** (k + 1) * 2, 2**running)
-        m = len(terms)
-        block = Fraction(0)
-        partial = running
-        for i, a in enumerate(cf.period, start=1):
-            partial += a
-            block += Fraction((-1) ** (m + i + 1) * 2, 2**partial)
-        ratio = Fraction((-1) ** len(cf.period), 2 ** sum(cf.period))
-        return total + block / (1 - ratio)
-
-    x = Fraction(x)
-    if x < 0 or x > 1:
-        raise OutOfDomain(f"{x} is not in [0, 1]")
-    if x == 0 or x == 1:
-        return Fraction(x)
+    else:
+        x = Fraction(x)
+        if x < 0 or x > 1:
+            raise OutOfDomain(f"{x} is not in [0, 1]")
+        if x == 0 or x == 1:
+            return Fraction(x)
     cf = cf_expand(x)
+    terms = cf.preperiod[1:]  # skip the leading 0
     total = Fraction(0)
     running = 0
-    for k, a in enumerate(cf.preperiod[1:], start=1):
+    for k, a in enumerate(terms, start=1):
         running += a
         total += Fraction((-1) ** (k + 1) * 2, 2**running)
-    return total
+    if not cf.is_periodic:
+        return total
+    m = len(terms)
+    block = Fraction(0)
+    for i, a in enumerate(cf.period, start=1):
+        running += a
+        block += Fraction((-1) ** (m + i + 1) * 2, 2**running)
+    ratio = Fraction((-1) ** len(cf.period), 2 ** sum(cf.period))
+    return total + block / (1 - ratio)
 
 
 def inverse_minkowski_q(y: Rational) -> Fraction:
@@ -179,7 +173,7 @@ def affine_height(values: Sequence[Fraction]) -> int:
     return projective_height(ProjectivePoint(coords))
 
 
-def counting_function(points: Iterable, t: int) -> int:
+def counting_function(points: Iterable) -> int:
     """Exact count of an already height-bounded point generator."""
     return sum(1 for _ in points)
 

@@ -1,19 +1,18 @@
 """Integer matrices: characteristic polynomials, Perron eigenvalues,
-GL(n,Z)-similarity classes and the class-group shape of Sha.
+GL(2,Z)-similarity classes and the class-group shape of Sha.
 
-The similarity classifier is a desk-scale oracle: it enumerates every
-integer matrix with the requested characteristic polynomial inside an entry
-bound, then merges GL(n,Z)-conjugates by a breadth-first search over
-one-generator conjugations with a configurable word-length cap. Counting
-classes of a 2x2 irreducible polynomial recovers the ideal class number of
-the order generated by a root (Latimer-MacDuffee).
+Similarity classes follow the Latimer-MacDuffee correspondence: a 2x2
+matrix with irreducible characteristic polynomial p is keyed by the content
+of its associated binary quadratic form (the order containing Z[root of p])
+and the class of the primitive part, so two matrices are GL(2,Z)-conjugate
+exactly when their keys agree. The classifier lists every matrix with
+characteristic polynomial p inside an entry bound and groups them by key.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from . import quadforms
 from .contfrac import QuadraticIrrational
@@ -119,16 +118,15 @@ def perron_eigenvalue(b: IntegerMatrix) -> QuadraticIrrational:
 
 @dataclass(frozen=True)
 class SimilarityClassification:
-    """GL(n,Z)-conjugacy classes found among bounded-entry matrices.
+    """GL(2,Z)-conjugacy classes found among bounded-entry matrices.
 
     ``classes`` lists every enumerated matrix grouped by class;
-    ``representatives`` holds one canonical member each. The entry bound and
-    word cap are echoed so the search radius of the verdict is explicit.
+    ``representatives`` holds one canonical member each. The entry bound is
+    echoed so the radius of the enumeration is explicit.
     """
 
     polynomial: tuple[int, ...]
     entry_bound: int
-    word_cap: int
     classes: tuple[tuple[IntegerMatrix, ...], ...]
 
     @property
@@ -140,146 +138,71 @@ class SimilarityClassification:
         return tuple(cls[0] for cls in self.classes)
 
 
-def _generators(n: int) -> list[tuple[Matrix, Matrix]]:
-    """(g, g^-1) pairs generating GL(n,Z): transvections and one reflection."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for s in (1, -1):
-                g = [[int(r == c) for c in range(n)] for r in range(n)]
-                g[i][j] = s
-                ginv = [[int(r == c) for c in range(n)] for r in range(n)]
-                ginv[i][j] = -s
-                out.append((tuple(map(tuple, g)), tuple(map(tuple, ginv))))
-    refl = [[int(r == c) for c in range(n)] for r in range(n)]
-    refl[0][0] = -1
-    refl_t = tuple(map(tuple, refl))
-    out.append((refl_t, refl_t))
-    return out
-
-
 def _validate_charpoly(p) -> tuple[int, ...]:
     p = tuple(int(c) for c in p)
-    if len(p) < 3 or p[0] != 1:
-        raise ValueError("need a monic polynomial of degree >= 2, highest degree first")
-    if len(p) == 3:
-        disc = p[1] * p[1] - 4 * p[2]
-        if disc == 0 or is_square(disc):
-            raise ReducibleCharPoly(f"discriminant {disc} is a perfect square")
-    else:
-        # a rational root would make the polynomial reducible
-        const = p[-1]
-        roots = [0] if const == 0 else []
-        roots += [r for d in divisors(const) for r in (d, -d)] if const else []
-        for r in roots:
-            acc = 0
-            for c in p:
-                acc = acc * r + c
-            if acc == 0:
-                raise ReducibleCharPoly(f"{r} is a rational root")
+    if len(p) != 3 or p[0] != 1:
+        raise ValueError("need a monic quadratic (1, b, c), highest degree first")
+    disc = p[1] * p[1] - 4 * p[2]
+    if disc == 0 or is_square(disc):
+        raise ReducibleCharPoly(f"discriminant {disc} is a perfect square")
     return p
 
 
 def _matrices_with_charpoly(p: tuple[int, ...], bound: int) -> list[Matrix]:
-    n = len(p) - 1
-    if n == 2:
-        t, det = -p[1], p[2]
-        out = []
-        for a11 in range(-bound, bound + 1):
-            a22 = t - a11
-            if abs(a22) > bound:
-                continue
-            target = a11 * a22 - det  # = a12 * a21, nonzero for irreducible p
-            if target == 0:
-                continue
-            for d in divisors(target):
-                if d > bound:
-                    continue
-                other = abs(target) // d
-                if other > bound:
-                    continue
-                for a12, a21 in (
-                    (d, target // d),
-                    (-d, -(target // d)),
-                ):
-                    out.append(((a11, a12), (a21, a22)))
-        return sorted(set(out))
-
-    from itertools import product as iproduct
-
-    # n == 3, closed form: det(xI - M) = x^3 - t x^2 + s x - det
-    trace, want_s, want_det = -p[1], p[2], -p[3]
+    t, det = -p[1], p[2]
     out = []
-    rng = range(-bound, bound + 1)
-    for d0, d1, d2 in iproduct(rng, repeat=3):
-        if d0 + d1 + d2 != trace:
+    for a11 in range(-bound, bound + 1):
+        a22 = t - a11
+        if abs(a22) > bound:
             continue
-        for o0, o1, o2, o3, o4, o5 in iproduct(rng, repeat=6):
-            s = d0 * d1 - o0 * o2 + d0 * d2 - o1 * o4 + d1 * d2 - o3 * o5
-            if s != want_s:
+        target = a11 * a22 - det  # = a12 * a21, nonzero for irreducible p
+        if target == 0:
+            continue
+        for d in divisors(target):
+            if d > bound:
                 continue
-            det = (
-                d0 * (d1 * d2 - o3 * o5)
-                - o0 * (o2 * d2 - o3 * o4)
-                + o1 * (o2 * o5 - d1 * o4)
-            )
-            if det == want_det:
-                out.append(((d0, o0, o1), (o2, d1, o3), (o4, o5, d2)))
+            other = abs(target) // d
+            if other > bound:
+                continue
+            for a12, a21 in (
+                (d, target // d),
+                (-d, -(target // d)),
+            ):
+                out.append(((a11, a12), (a21, a22)))
     return sorted(set(out))
 
 
-def _merge_conjugates(
-    candidates: list[Matrix], gens, word_cap: int, work_bound: int
-) -> list[list[Matrix]]:
-    parent = list(range(len(candidates)))
+def _class_key(m: Matrix) -> tuple[int, tuple[int, int, int]]:
+    """Exact GL(2,Z)-similarity invariant of a 2x2 matrix (Latimer-MacDuffee).
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    label: dict[Matrix, int] = {m: i for i, m in enumerate(candidates)}
-    queue = deque((m, 0) for m in candidates)
-    while queue:
-        m, depth = queue.popleft()
-        if depth >= word_cap:
-            continue
-        owner = label[m]
-        for g, ginv in gens:
-            m2 = _mat_mul(_mat_mul(g, m), ginv)
-            if any(abs(v) > work_bound for row in m2 for v in row):
-                continue
-            if m2 in label:
-                union(owner, label[m2])
-            else:
-                label[m2] = owner
-                queue.append((m2, depth + 1))
-    groups: dict[int, list[Matrix]] = {}
-    for i, m in enumerate(candidates):
-        groups.setdefault(find(i), []).append(m)
-    return [groups[r] for r in sorted(groups)]
+    [[a, b], [c, d]] gives the form Q(v) = det[v | Mv] = (c, d - a, -b), and
+    conjugation by P sends Q to det(P) * Q(P^-1 v). The class is therefore
+    the content g (which marks the overorder) together with the proper class
+    of Q/g modulo (A, B, C) -> (-A, B, -C), the image of diag(1, -1).
+    """
+    (a, b), (c, d) = m
+    g = gcd(c, d - a, b)
+    fa, fb, fc = c // g, (d - a) // g, -b // g
+    disc = fb * fb - 4 * fa * fc
+    if disc < 0:
+        if fa < 0:
+            fa, fc = -fa, -fc
+        return g, quadforms._canonical(fa, fb, fc, disc)
+    return g, min(
+        quadforms._canonical(fa, fb, fc, disc),
+        quadforms._canonical(-fa, fb, -fc, disc),
+    )
 
 
-def similarity_class_count_bruteforce(
-    p, entry_bound: int, word_cap: int = 12
-) -> SimilarityClassification:
-    """Classify bounded-entry integer matrices with characteristic polynomial p.
+def similarity_class_count_bruteforce(p, entry_bound: int) -> SimilarityClassification:
+    """Classify bounded-entry 2x2 integer matrices with characteristic polynomial p.
 
-    For an irreducible quadratic p the class count equals the ideal class
-    number of Z[root of p]. Cubic p (3x3 matrices) is supported for
-    experimentation at tiny bounds only; higher degrees raise ValueError.
+    Every matrix with entries within the bound is listed, then grouped by
+    its class key. Once the bound reaches every class, the count is the sum
+    of the wide class numbers of the orders containing Z[root of p]. Only
+    irreducible monic quadratics are accepted.
     """
     p = _validate_charpoly(p)
-    if len(p) > 4:
-        raise ValueError("brute-force classification handles degree 2 and 3 only")
     if entry_bound < 1:
         raise ValueError("entry_bound must be positive")
     candidates = _matrices_with_charpoly(p, entry_bound)
@@ -287,17 +210,18 @@ def similarity_class_count_bruteforce(
         raise BoundTooSmall(
             f"no matrix with characteristic polynomial {p} has entries within {entry_bound}"
         )
-    n = len(p) - 1
-    work_bound = 3 * entry_bound + 8
-    classes = _merge_conjugates(candidates, _generators(n), word_cap, work_bound)
+    # candidates are sorted, so classes come in order of their least member
+    groups: dict[tuple, list[Matrix]] = {}
+    for m in candidates:
+        groups.setdefault(_class_key(m), []).append(m)
     ordered = tuple(
         tuple(
             IntegerMatrix(m)
             for m in sorted(cls, key=lambda m: (max(abs(v) for r in m for v in r), m))
         )
-        for cls in classes
+        for cls in groups.values()
     )
-    return SimilarityClassification(p, entry_bound, word_cap, ordered)
+    return SimilarityClassification(p, entry_bound, ordered)
 
 
 def classify(
@@ -305,34 +229,20 @@ def classify(
 ) -> int:
     """Index of the class a (possibly out-of-bound) matrix belongs to.
 
-    Searches conjugator words up to the classification's cap until a known
-    matrix is reached; raises ValueError when the search is inconclusive.
+    Exact: the matrix is compared by its class key. Raises ValueError when
+    the characteristic polynomial differs or when no matrix of its class
+    has entries within the classification's bound.
     """
     if char_poly(matrix) != classification.polynomial:
         raise ValueError("matrix has a different characteristic polynomial")
-    where: dict[Matrix, int] = {}
+    key = _class_key(matrix.entries)
     for idx, cls in enumerate(classification.classes):
-        for m in cls:
-            where[m.entries] = idx
-    start = matrix.entries
-    size = max(abs(v) for row in start for v in row)
-    work_bound = max(3 * classification.entry_bound + 8, 2 * size + 8)
-    gens = _generators(matrix.dimension)
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        m, depth = queue.popleft()
-        if m in where:
-            return where[m]
-        if depth >= classification.word_cap:
-            continue
-        for g, ginv in gens:
-            m2 = _mat_mul(_mat_mul(g, m), ginv)
-            if m2 in seen or any(abs(v) > work_bound for row in m2 for v in row):
-                continue
-            seen.add(m2)
-            queue.append((m2, depth + 1))
-    raise ValueError("classification inconclusive within the word cap")
+        if _class_key(cls[0].entries) == key:
+            return idx
+    raise ValueError(
+        f"the class of {matrix} has no member with entries within "
+        f"{classification.entry_bound}"
+    )
 
 
 # ---------------------------------------------------------------------------

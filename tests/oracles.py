@@ -5,8 +5,8 @@ implementations under test: SL(2,Z) word search for reduction, a searched
 concordant pair for composition, direct product-group enumeration for
 structures, scanning Pell solvers, a one-power-at-a-time unit-index loop, a
 plain fold of continued-fraction matrices, continued-fraction periods found
-by remembering every state, and a Stern-Brocot walk for the question-mark
-function.
+by remembering every state, a Stern-Brocot walk for the question-mark
+function, and a conjugation BFS for similarity classes.
 """
 
 from __future__ import annotations
@@ -279,3 +279,63 @@ def random_gl2_word(rng, length):
     for _ in range(length):
         m = mat_mul2(m, GL2_GENERATORS[rng.randrange(len(GL2_GENERATORS))])
     return m
+
+
+# transvections and one reflection: (g, g^-1) pairs generating GL(2,Z)
+BFS_GENERATORS = (
+    (((1, 1), (0, 1)), ((1, -1), (0, 1))),
+    (((1, -1), (0, 1)), ((1, 1), (0, 1))),
+    (((1, 0), (1, 1)), ((1, 0), (-1, 1))),
+    (((1, 0), (-1, 1)), ((1, 0), (1, 1))),
+    (((-1, 0), (0, 1)), ((-1, 0), (0, 1))),
+)
+
+
+def similarity_classes_bfs(poly, entry_bound):
+    """GL(2,Z)-classes of the matrices with char poly x^2 + b x + c, entries <= bound.
+
+    Lists every matrix by a plain scan, then merges conjugates found by a
+    breadth-first search over one-generator conjugations, at most 12 deep
+    and with entries kept under 3 * bound + 8. Classes come
+    in order of their least member; each is sorted by (largest |entry|,
+    entries).
+    """
+    _, b, c = poly
+    trace, det = -b, c
+    rng = range(-entry_bound, entry_bound + 1)
+    candidates = sorted(
+        ((a11, a12), (a21, trace - a11))
+        for a11, a12, a21 in product(rng, repeat=3)
+        if abs(trace - a11) <= entry_bound and a11 * (trace - a11) - a12 * a21 == det
+    )
+    work_bound = 3 * entry_bound + 8
+    parent = list(range(len(candidates)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    label = {m: i for i, m in enumerate(candidates)}
+    queue = deque((m, 0) for m in candidates)
+    while queue:
+        m, depth = queue.popleft()
+        if depth >= 12:
+            continue
+        for g, ginv in BFS_GENERATORS:
+            m2 = mat_mul2(mat_mul2(g, m), ginv)
+            if any(abs(v) > work_bound for row in m2 for v in row):
+                continue
+            if m2 in label:
+                ri, rj = find(label[m]), find(label[m2])
+                parent[max(ri, rj)] = min(ri, rj)
+            else:
+                label[m2] = label[m]
+                queue.append((m2, depth + 1))
+    groups = {}
+    for i, m in enumerate(candidates):
+        groups.setdefault(find(i), []).append(m)
+    return [
+        sorted(groups[r], key=lambda m: (max(abs(v) for row in m for v in row), m))
+        for r in sorted(groups)
+    ]

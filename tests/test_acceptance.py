@@ -213,7 +213,7 @@ def test_criterion_08_regime_classifier_and_slope():
         assert cases == 30
         rows = []
         for t in (2**4, 2**5, 2**6, 2**7, 2**8, 2**9, 2**10):
-            rows.append((t, rm.counting_function(rm.quantum_theta_points(1, t), t)))
+            rows.append((t, rm.counting_function(rm.quantum_theta_points(1, t))))
         counts = [c for _, c in rows]
         assert counts == sorted(counts)
         slope = loglog_slope(rows)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +106,11 @@ class TestCf:
         code, _ = run_cli(["cf", "--sqrt", "2", "--rational", "1/2"], capsys)
         assert code == 2
 
+    def test_zero_denominator_exit_2(self, capsys):
+        assert cli.main(["cf", "--rational", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSha:
     def test_matrix(self, capsys):
@@ -135,6 +142,11 @@ class TestHeight:
     def test_multiple(self, capsys):
         data = run_json(["height", "--theta", "1/3", "--theta=-1,2,5", "--json"], capsys)
         assert data["height"] == 12
+
+    def test_zero_denominator_exit_2(self, capsys):
+        assert cli.main(["height", "--theta=1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_long_exact_value_prints(self, capsys):
         # ?(3/64479) has denominator 2^21492, far above Python's default
@@ -284,10 +296,12 @@ class TestExitCodes:
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "rmarith", "classgroup", "-D", "-23", "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h"] == 3

@@ -172,15 +172,15 @@ class TestQuantumHeight:
 
 class TestCounting:
     def test_empty(self):
-        assert counting_function(iter(()), 10) == 0
+        assert counting_function(iter(())) == 0
 
     def test_counts_generator(self):
-        assert counting_function(projective_points(1, 1), 1) == 4
+        assert counting_function(projective_points(1, 1)) == 4
 
     def test_quantum_counts_are_exact_powers(self):
         for t in (16, 64, 256):
-            assert counting_function(quantum_theta_points(1, t), t) == t
-        assert counting_function(quantum_theta_points(2, 16), 16) == 256
+            assert counting_function(quantum_theta_points(1, t)) == t
+        assert counting_function(quantum_theta_points(2, 16)) == 256
 
     def test_quantum_points_heights_bounded(self):
         for theta in quantum_theta_points(1, 32):
@@ -188,7 +188,7 @@ class TestCounting:
 
     def test_slope_of_quantum_counts(self):
         rows = [
-            (t, counting_function(quantum_theta_points(1, t), t))
+            (t, counting_function(quantum_theta_points(1, t)))
             for t in (16, 32, 64, 128, 256)
         ]
         assert abs(loglog_slope(rows) - 1.0) < 1e-9

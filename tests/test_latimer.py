@@ -21,7 +21,7 @@ from rmarith import (
 )
 from rmarith.latimer import _matrices_with_charpoly
 
-from oracles import mat_inv2, mat_mul2, random_gl2_word
+from oracles import mat_inv2, mat_mul2, random_gl2_word, similarity_classes_bfs
 
 M = IntegerMatrix.from_rows
 
@@ -110,9 +110,13 @@ class TestSimilarityClasses:
             similarity_class_count_bruteforce((1, -2, 1), 5)
 
     def test_degree_above_3_rejected(self):
-        # x^4 - 2 is irreducible; brute force stops at 3x3 matrices
-        with pytest.raises(ValueError, match="degree 2 and 3"):
+        # x^4 - 2 is irreducible; only 2x2 matrices are classified
+        with pytest.raises(ValueError, match="monic quadratic"):
             similarity_class_count_bruteforce((1, 0, 0, 0, -2), 1)
+
+    def test_cubic_rejected(self):
+        with pytest.raises(ValueError, match="monic quadratic"):
+            similarity_class_count_bruteforce((1, -3, 2, 5), 2)
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
@@ -147,11 +151,61 @@ class TestSimilarityClasses:
             large = similarity_class_count_bruteforce(poly, 14)
             assert small.count == large.count
 
-    def test_3x3_smoke(self):
-        result = similarity_class_count_bruteforce((1, -3, 2, 5), 2, word_cap=2)
-        assert result.count >= 1
-        for rep in result.representatives:
-            assert char_poly(rep) == (1, -3, 2, 5)
+    @pytest.mark.parametrize(
+        "poly,bound",
+        [
+            ((1, -1, -1), 10),
+            ((1, -6, -1), 12),
+            ((1, -3, 1), 10),
+            ((1, 1, 6), 12),
+            ((1, 0, 5), 12),
+            ((1, -1, -3), 12),
+            ((1, -8, 1), 12),
+        ],
+    )
+    def test_key_matches_bfs_oracle(self, poly, bound):
+        result = similarity_class_count_bruteforce(poly, bound)
+        got = [[m.entries for m in cls] for cls in result.classes]
+        assert got == similarity_classes_bfs(poly, bound)
+
+    def test_key_matches_bfs_oracle_sweep(self):
+        # every irreducible x^2 - t x + n with |t| <= 4, |n| <= 8 at bound 6
+        checked = 0
+        for t in range(-4, 5):
+            for n in range(-8, 9):
+                poly = (1, -t, n)
+                try:
+                    result = similarity_class_count_bruteforce(poly, 6)
+                except (ReducibleCharPoly, BoundTooSmall):
+                    continue
+                got = [[m.entries for m in cls] for cls in result.classes]
+                assert got == similarity_classes_bfs(poly, 6), poly
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("poly", [(1, -6, -1), (1, 1, 6), (1, 0, 5), (1, -8, 1)])
+    def test_classify_long_words(self, poly):
+        # conjugates by words of length 20-40 have entries far beyond any
+        # search radius; the class key still places them exactly
+        rng = random.Random(sum(poly) + 29)
+        result = similarity_class_count_bruteforce(poly, 12)
+        for idx, rep in enumerate(result.representatives):
+            for _ in range(10):
+                w = random_gl2_word(rng, rng.randint(20, 40))
+                conj = mat_mul2(mat_mul2(w, rep.entries), mat_inv2(w))
+                assert classify(IntegerMatrix(conj), result) == idx
+
+    def test_classify_class_outside_bound(self):
+        # at bound 3 only the class of (2, 2, 3) fits; x^2 + 5's companion
+        # matrix belongs to the principal class, which needs entry 5
+        small = similarity_class_count_bruteforce((1, 0, 5), 3)
+        assert small.count == 1
+        companion = M([[0, -5], [1, 0]])
+        with pytest.raises(ValueError, match="no member"):
+            classify(companion, small)
+        large = similarity_class_count_bruteforce((1, 0, 5), 12)
+        home = next(i for i, cls in enumerate(large.classes) if companion in cls)
+        assert classify(companion, large) == home
 
 
 class TestIdealClasses:
