@@ -3,8 +3,11 @@
 Subcommands: classgroup, rm-conductor, cf, sha, height, count. Output is a
 human table by default, JSON with --json, CSV with --csv. A persistent
 class-number cache (plain text, versioned) can be pointed at with --cache
-or the RMARITH_CACHE environment variable. A malformed cache file or an
-unwritable cache path is an input error.
+or the RMARITH_CACHE environment variable. It is a checked record of the
+class numbers a command prints: they are computed without it, checked
+against its entries and added to it, so no entry can change an answer. A
+malformed cache file, an unwritable cache path or a disagreeing entry is an
+input error.
 
 Exit codes: 0 success, 2 input error, 3 search limit exceeded, 4 internal
 invariant violation.
@@ -24,7 +27,6 @@ from fractions import Fraction
 from . import __version__, cmrm, contfrac, heights, latimer, quadforms
 from .contfrac import QuadraticIrrational
 from .errors import RmarithError, SearchLimitExceeded
-from .intmath import squarefree_core
 
 CACHE_VERSION = "rmarith-cache 1"
 CACHE_ENV = "RMARITH_CACHE"
@@ -36,7 +38,11 @@ EXIT_INTERNAL = 4
 
 
 class ClassNumberCache:
-    """Versioned `D narrow wide` lines; loaded once, written atomically."""
+    """Versioned `D narrow wide` lines; loaded once, written atomically.
+
+    A checked record of the class numbers commands print, never a source of
+    them.
+    """
 
     def __init__(self, path: str):
         self.path = path
@@ -51,7 +57,7 @@ class ClassNumberCache:
         except OSError:
             return
         if not lines or lines[0] != CACHE_VERSION:
-            return  # unknown version: recompute from scratch
+            return  # unknown version: start a new record
         for number, line in enumerate(lines[1:], start=2):
             parts = line.split()
             if not parts:
@@ -64,28 +70,17 @@ class ClassNumberCache:
                 ) from None
             self.entries[d] = (narrow, wide)
 
-    def lookup(self, d: int) -> tuple[int, int]:
-        if d not in self.entries:
-            self.entries[d] = (
-                quadforms.class_number(d, "narrow"),
-                quadforms.class_number(d, "wide"),
-            )
+    def verify(self, d: int, narrow: int, wide: int) -> None:
+        """Record the computed class numbers of d; ValueError if an entry disagrees."""
+        cached = self.entries.get(d)
+        if cached is None:
+            self.entries[d] = (narrow, wide)
             self.dirty = True
-        return self.entries[d]
-
-    def verify(self, d: int) -> None:
-        """Raise ValueError unless the entry for d matches a fresh computation."""
-        cached = self.lookup(d)
-        computed = (quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide"))
-        if cached != computed:
+        elif cached != (narrow, wide):
             raise ValueError(
                 f"cache entry for D {d} disagrees: it holds narrow {cached[0]}, wide {cached[1]}; "
-                f"recomputed narrow {computed[0]}, wide {computed[1]}"
+                f"computed narrow {narrow}, wide {wide}"
             )
-
-    def class_number(self, d: int, flavor: str = "wide") -> int:
-        narrow, wide = self.lookup(d)
-        return narrow if flavor == "narrow" else wide
 
     def save(self) -> None:
         if not self.dirty:
@@ -146,13 +141,13 @@ def cmd_classgroup(args, cache) -> None:
     if args.discriminant is not None:
         d = args.discriminant
     elif args.fundamental is not None:
-        d = args.fundamental * args.conductor * args.conductor
+        d = quadforms.QuadraticOrder(args.fundamental, args.conductor).discriminant
     else:
         raise ValueError("give -D or -d (with optional -f)")
     quadforms.validate_discriminant(d)
     narrow, wide = quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide")
     if cache:
-        cache.verify(d)
+        cache.verify(d, narrow, wide)
     structure = quadforms.class_group_structure(d)
     reps = quadforms.enumerate_reduced_forms(d)
     if structure.h != narrow:
@@ -179,20 +174,18 @@ def cmd_classgroup(args, cache) -> None:
 
 
 def cmd_rm_conductor(args, cache) -> None:
-    f_prime = cmrm.rm_conductor(
-        args.d,
-        args.f,
-        search_limit=args.limit,
-        class_number_fn=cache.class_number if cache else quadforms.class_number,
-    )
-    core, _ = squarefree_core(args.d)
-    cm_disc = quadforms.fundamental_discriminant(-core) * args.f * args.f
-    rm_disc = quadforms.fundamental_discriminant(core) * f_prime * f_prime
-    if cache:
-        # the scan trusted the cache; the two class numbers printed must not
-        cache.verify(cm_disc)
-        cache.verify(rm_disc)
+    core = cmrm._normalize_radicand(args.d)
+    cm_order = quadforms.QuadraticOrder(quadforms.fundamental_discriminant(-core), args.f)
+    cm_disc = cm_order.discriminant
     target = quadforms.class_number(cm_disc, "wide")
+    if cache:
+        # recorded before the scan, so a search-limit failure still saves it
+        cache.verify(cm_disc, quadforms.class_number(cm_disc, "narrow"), target)
+    f_prime = cmrm.rm_conductor(core, args.f, search_limit=args.limit)
+    rm_disc = quadforms.fundamental_discriminant(core) * f_prime * f_prime
+    rm_h = quadforms.class_number(rm_disc, "wide")
+    if cache:
+        cache.verify(rm_disc, quadforms.class_number(rm_disc, "narrow"), rm_h)
     result = {
         "d": core,
         "f": args.f,
@@ -200,12 +193,12 @@ def cmd_rm_conductor(args, cache) -> None:
         "cm_discriminant": cm_disc,
         "rm_discriminant": rm_disc,
         "cm_class_number": target,
-        "rm_class_number": quadforms.class_number(rm_disc, "wide"),
+        "rm_class_number": rm_h,
     }
     human = [
         f"imaginary side    Z + {args.f}*O_Q(sqrt(-{core}))  (discriminant {cm_disc}, h = {target})",
         f"matched conductor f' = {f_prime}",
-        f"real side         Z + {f_prime}*O_Q(sqrt({core}))  (discriminant {rm_disc}, h = {result['rm_class_number']})",
+        f"real side         Z + {f_prime}*O_Q(sqrt({core}))  (discriminant {rm_disc}, h = {rm_h})",
     ]
     rows = [["d", "f", "f_prime", "class_number"], [core, args.f, f_prime, target]]
     _emit(args, result, human, rows)

@@ -2,13 +2,14 @@
 
 Given an order of conductor f in Q(sqrt(-d)), the matching real order in
 Q(sqrt(d)) has the least conductor f' whose wide class number equals the
-imaginary side's. The scan is exhaustive from f' = 1.
+imaginary side's. The scan is exhaustive from f' = 1 and calls the
+class-number kernel on (field discriminant, conductor) pairs directly, so
+nothing is validated or factored again per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from . import quadforms
 from .errors import SearchLimitExceeded
@@ -16,8 +17,6 @@ from .intmath import squarefree_core
 from .quadforms import BinaryQuadraticForm, QuadraticOrder, fundamental_discriminant
 
 DEFAULT_SEARCH_LIMIT = 10_000
-
-ClassNumberFn = Callable[[int, str], int]
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,7 @@ def _normalize_radicand(d: int) -> int:
     return core
 
 
-def rm_conductor(
-    d: int,
-    f: int,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
-    *,
-    class_number_fn: Optional[ClassNumberFn] = None,
-) -> int:
+def rm_conductor(d: int, f: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     """Least f' with |Cl(Z + f'*O_Q(sqrt(d)))| = |Cl(Z + f*O_Q(sqrt(-d)))|.
 
     Both class numbers are wide. d is normalized to its squarefree core.
@@ -64,13 +57,12 @@ def rm_conductor(
     d = _normalize_radicand(d)
     if f < 1:
         raise ValueError("conductor f must be positive")
-    h = class_number_fn or quadforms.class_number
-    cm_disc = fundamental_discriminant(-d)
-    rm_disc = fundamental_discriminant(d)
-    target = h(cm_disc * f * f, "wide")
-
+    if search_limit < 1:
+        raise ValueError("search limit must be positive")
+    _, target = quadforms._class_numbers(fundamental_discriminant(-d), f)
+    rm_k = fundamental_discriminant(d)
     for fp in range(1, search_limit + 1):
-        if h(rm_disc * fp * fp, "wide") == target:
+        if quadforms._class_numbers(rm_k, fp)[1] == target:
             return fp
     raise SearchLimitExceeded(target, search_limit)
 

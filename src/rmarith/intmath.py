@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 
@@ -28,7 +27,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-@lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of |n|, ascending (trial division)."""
     n = abs(n)
@@ -63,7 +61,6 @@ def factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def squarefree_core(n: int) -> tuple[int, int]:
     """Write n = core * s**2 with core squarefree; return (core, s).
 

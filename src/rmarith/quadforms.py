@@ -3,10 +3,14 @@
 Forms (a, b, c) of discriminant D = b^2 - 4ac model ideal classes of the
 quadratic order of discriminant D, for definite and indefinite D alike.
 Definite forms reduce to a unique representative; indefinite forms reduce
-onto rho-cycles, and each cycle is one proper class. Class numbers for
-non-maximal orders go through the classical conductor formula (with the
-unit index computed from the fundamental unit), which the form-enumeration
-route cross-checks in the test suite.
+onto rho-cycles, and each cycle is one proper class.
+
+`class_number` validates D and splits it as f^2 * d_K once; the unchecked
+kernel `_class_numbers(d_K, f)` does the rest. A field's class numbers come
+from form enumeration, memoised for the last 64 fields; a non-maximal order
+goes through the classical conductor formula (with the unit index computed
+from the fundamental unit), which the form-enumeration route cross-checks
+in the test suite. No memo grows with the number of discriminants asked.
 """
 
 from __future__ import annotations
@@ -123,13 +127,10 @@ class ClassGroupStructure:
         return self.h == 1
 
 
-def _invariant_factors_of_sum(divisor_lists) -> tuple[int, ...]:
-    """Invariant factors of a direct sum given any divisor lists."""
+def _invariant_factors_of_sum(orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of cyclic groups of these orders."""
     powers: dict[int, list[int]] = {}
-    flat = []
-    for d in divisor_lists:
-        flat.extend(d if isinstance(d, (list, tuple)) else [d])
-    for d in flat:
+    for d in orders:
         for p, e in factorization(d):
             powers.setdefault(p, []).append(e)
     width = max((len(v) for v in powers.values()), default=0)
@@ -355,18 +356,20 @@ def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
-def _class_numbers(d: int) -> tuple[int, int]:
-    """(narrow, wide) class numbers of the order of discriminant d."""
-    d_k, f = split_discriminant(d)
-    if f == 1:
-        narrow = len(enumerate_reduced_forms(d))
-        if d < 0:
-            return narrow, narrow
-        wide = narrow if unit_norm(d) == -1 else narrow // 2
-        return narrow, wide
+@lru_cache(maxsize=64)
+def _field_class_numbers(d_k: int) -> tuple[int, int]:
+    """(narrow, wide) class numbers of the maximal order of d_k, memoised."""
+    narrow = len(enumerate_reduced_forms(d_k))
+    if d_k < 0:
+        return narrow, narrow
+    return narrow, narrow if unit_norm(d_k) == -1 else narrow // 2
 
-    _, wide_k = _class_numbers(d_k)
+
+def _class_numbers(d_k: int, f: int) -> tuple[int, int]:
+    """(narrow, wide) class numbers of Z + f*O_K, d_k fundamental (unchecked)."""
+    if f == 1:
+        return _field_class_numbers(d_k)
+    _, wide_k = _field_class_numbers(d_k)
     # index = [O_K^* : O_f^*]. For d_k > 0, Z + f*O_K is the intersection of
     # the orders Z + p^e*O_K over p^e exactly dividing f (CRT), so the index
     # is the lcm of theirs.
@@ -377,9 +380,9 @@ def _class_numbers(d: int) -> tuple[int, int]:
         if d_k > 0:
             index = lcm(index, _prime_power_unit_index(d_k, p, e))
     if h % index:
-        raise AssertionError(f"conductor formula not integral at D={d}")
+        raise AssertionError(f"conductor formula not integral at D={d_k * f * f}")
     wide = h // index
-    if d < 0:
+    if d_k < 0:
         return wide, wide
     norm_f = _field_unit(d_k).norm if index % 2 else 1
     narrow = wide if norm_f == -1 else 2 * wide
@@ -395,7 +398,7 @@ def class_number(d: int, flavor: str = "wide") -> int:
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError(f"flavor must be 'narrow' or 'wide', got {flavor!r}")
-    narrow, wide = _class_numbers(d)
+    narrow, wide = _class_numbers(*split_discriminant(d))
     return narrow if flavor == "narrow" else wide
 
 

@@ -57,6 +57,14 @@ class TestClassgroup:
         code, _ = run_cli(["classgroup"], capsys)
         assert code == 2
 
+    def test_bad_field_or_conductor_exit_2(self, capsys):
+        # a conductor below 1 and a non-fundamental field discriminant
+        for argv in (["-d", "5", "-f", "-3"], ["-d", "20"]):
+            assert cli.main(["classgroup", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_csv(self, capsys):
         code, out = run_cli(["classgroup", "-D", "-23", "--csv"], capsys)
         assert code == 0
@@ -79,6 +87,12 @@ class TestRmConductor:
     def test_limit_exit_3(self, capsys):
         code, _ = run_cli(["rm-conductor", "-d", "5", "-f", "1", "--limit", "3"], capsys)
         assert code == 3
+
+    def test_negative_limit_exit_2(self, capsys):
+        # no search runs, so this is an input error, not exit 3
+        assert cli.main(["rm-conductor", "-d", "5", "-f", "1", "--limit", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCf:
@@ -249,16 +263,30 @@ class TestCacheAndRoundTrip:
         )
         assert code == 3
         keys = {int(line.split()[0]) for line in cache.read_text().splitlines()[1:]}
-        assert {-20, 5, 20, 45} <= keys  # the target and f' = 1, 2, 3
+        assert keys == {-20}  # the target, recorded before the scan
 
-    def test_wrong_entry_behind_the_match_exit_2(self, tmp_path, capsys):
+    def test_wrong_entry_behind_the_match_is_not_read(self, tmp_path, capsys):
+        # 20 = 5 * 2^2 is a scan step, not a printed number: the scan never
+        # reads the cache, so the wrong entry cannot stop it at f' = 2
         cache = tmp_path / "wrong.cache"
         cache.write_text(f"{cli.CACHE_VERSION}\n20 2 2\n")
+        code = cli.main(
+            ["rm-conductor", "-d", "5", "-f", "1", "--json", "--cache", str(cache)]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["f_prime"] == 8
+
+    def test_wrong_printed_rm_entry_exit_2(self, tmp_path, capsys):
+        # 320 = 5 * 8^2 is the matched order, whose class number is printed
+        cache = tmp_path / "wrong.cache"
+        cache.write_text(f"{cli.CACHE_VERSION}\n320 9 9\n")
         code = cli.main(["rm-conductor", "-d", "5", "-f", "1", "--cache", str(cache)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: cache entry for D 20 disagrees")
+        assert captured.err.startswith("error: cache entry for D 320 disagrees")
+        assert "Traceback" not in captured.err
 
     def test_wrong_classgroup_entry_exit_2(self, tmp_path, capsys):
         cache = tmp_path / "wrong.cache"

@@ -26,9 +26,11 @@ class TestConductorMap:
 
     def test_limit_below_answer(self):
         with pytest.raises(SearchLimitExceeded):
-            rm_conductor(2, 1, search_limit=0)
-        with pytest.raises(SearchLimitExceeded):
             rm_conductor(5, 1, search_limit=7)
+        # a limit below 1 leaves nothing to search: an input error
+        for limit in (0, -5):
+            with pytest.raises(ValueError):
+                rm_conductor(2, 1, search_limit=limit)
 
     def test_limit_error_payload(self):
         try:
@@ -62,16 +64,6 @@ class TestConductorMap:
         with pytest.raises(ValueError):
             rm_conductor(0, 1)
 
-    def test_custom_class_number_fn_is_used(self):
-        calls = []
-
-        def spy(d, flavor):
-            calls.append(d)
-            return class_number(d, flavor)
-
-        assert rm_conductor(2, 1, class_number_fn=spy) == 1
-        assert calls  # the hook actually ran
-
     def test_scan_builds_the_field_unit_once(self, monkeypatch):
         calls = {"fundamental_unit": [], "unit_norm": []}
 
@@ -86,7 +78,7 @@ class TestConductorMap:
 
         for name in calls:
             monkeypatch.setattr(quadforms, name, counted(name))
-        for memo in (quadforms._class_numbers, quadforms._field_unit,
+        for memo in (quadforms._field_class_numbers, quadforms._field_unit,
                      quadforms._prime_power_unit_index):
             memo.cache_clear()
         assert rm_conductor(9967, 4) == 389

@@ -181,7 +181,7 @@ class TestClassNumber:
             return real_factorization(n)
 
         monkeypatch.setattr(quadforms, "factorization", counting_factorization)
-        quadforms._class_numbers.cache_clear()
+        quadforms._field_class_numbers.cache_clear()
         for d_k, f in [(5, 12), (8, 9), (13, 10), (21, 6), (24, 35), (5, 64)]:
             calls.clear()
             class_number(d_k * f * f, "narrow")
