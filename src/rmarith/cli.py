@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: classgroup, rm-conductor, cf, sha, height, count. Output is a
-human table by default, JSON with --json, CSV with --csv. A persistent
-class-number cache (plain text, versioned) can be pointed at with --cache
-or the RMARITH_CACHE environment variable. It is a checked record of the
-class numbers a command prints: they are computed without it, checked
+human table by default, JSON with --json, CSV with --csv (not both); the
+conductor -f of classgroup goes only with -d. A class-number cache (plain
+text, versioned) can be pointed at with --cache. It is a checked record of
+the class numbers a command prints: they are computed without it, checked
 against its entries and added to it, so no entry can change an answer. A
 malformed cache file, an unwritable cache path or a disagreeing entry is an
 input error.
@@ -29,7 +29,6 @@ from .contfrac import QuadraticIrrational
 from .errors import RmarithError, SearchLimitExceeded
 
 CACHE_VERSION = "rmarith-cache 1"
-CACHE_ENV = "RMARITH_CACHE"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -139,17 +138,17 @@ def _long_int_strings():
 
 def cmd_classgroup(args, cache) -> None:
     if args.discriminant is not None:
+        if args.conductor is not None:
+            raise ValueError("-f goes with -d, not with -D")
         d = args.discriminant
-    elif args.fundamental is not None:
-        d = quadforms.QuadraticOrder(args.fundamental, args.conductor).discriminant
     else:
-        raise ValueError("give -D or -d (with optional -f)")
-    quadforms.validate_discriminant(d)
+        f = 1 if args.conductor is None else args.conductor
+        d = quadforms.QuadraticOrder(args.fundamental, f).discriminant
     narrow, wide = quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide")
     if cache:
         cache.verify(d, narrow, wide)
-    structure = quadforms.class_group_structure(d)
     reps = quadforms.enumerate_reduced_forms(d)
+    structure = quadforms._group_structure([(g.a, g.b, g.c) for g in reps], d)
     if structure.h != narrow:
         raise AssertionError("composition group order disagrees with class number")
     d_k, f = quadforms.split_discriminant(d)
@@ -371,16 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rmarith {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--csv", action="store_true", help="CSV output")
+    output = common.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    output.add_argument("--csv", action="store_true", help="CSV output")
     common.add_argument("--cache", metavar="PATH", help="class-number cache file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classgroup", parents=[common],
                        help="class group of a quadratic order")
-    p.add_argument("-D", "--discriminant", type=int, help="order discriminant")
-    p.add_argument("-d", "--fundamental", type=int, help="fundamental discriminant")
-    p.add_argument("-f", "--conductor", type=int, default=1)
+    order = p.add_mutually_exclusive_group(required=True)
+    order.add_argument("-D", "--discriminant", type=int, help="order discriminant")
+    order.add_argument("-d", "--fundamental", type=int, help="fundamental discriminant")
+    p.add_argument("-f", "--conductor", type=int, help="conductor, with -d only (default 1)")
 
     p = sub.add_parser("rm-conductor", parents=[common],
                        help="least real conductor matching an imaginary class number")
@@ -429,9 +430,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-    path = args.cache or os.environ.get(CACHE_ENV)
     try:
-        cache = ClassNumberCache(path) if path else None
+        cache = ClassNumberCache(args.cache) if args.cache else None
         try:
             with _long_int_strings():
                 COMMANDS[args.command](args, cache)

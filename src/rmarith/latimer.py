@@ -4,9 +4,10 @@ GL(2,Z)-similarity classes and the class-group shape of Sha.
 Similarity classes follow the Latimer-MacDuffee correspondence: a 2x2
 matrix with irreducible characteristic polynomial p is keyed by the content
 of its associated binary quadratic form (the order containing Z[root of p])
-and the class of the primitive part, so two matrices are GL(2,Z)-conjugate
-exactly when their keys agree. The classifier lists every matrix with
-characteristic polynomial p inside an entry bound and groups them by key.
+and the wide class of the primitive part (`quadforms._wide_canonical`), so
+two matrices are GL(2,Z)-conjugate exactly when their keys agree. The
+classifier lists every matrix with characteristic polynomial p inside an
+entry bound and groups them by key.
 """
 
 from __future__ import annotations
@@ -177,21 +178,13 @@ def _class_key(m: Matrix) -> tuple[int, tuple[int, int, int]]:
 
     [[a, b], [c, d]] gives the form Q(v) = det[v | Mv] = (c, d - a, -b), and
     conjugation by P sends Q to det(P) * Q(P^-1 v). The class is therefore
-    the content g (which marks the overorder) together with the proper class
-    of Q/g modulo (A, B, C) -> (-A, B, -C), the image of diag(1, -1).
+    the content g (which marks the overorder) together with the wide class
+    of Q/g: its proper class modulo (A, B, C) -> (-A, B, -C), diag(1, -1).
     """
     (a, b), (c, d) = m
     g = gcd(c, d - a, b)
     fa, fb, fc = c // g, (d - a) // g, -b // g
-    disc = fb * fb - 4 * fa * fc
-    if disc < 0:
-        if fa < 0:
-            fa, fc = -fa, -fc
-        return g, quadforms._canonical(fa, fb, fc, disc)
-    return g, min(
-        quadforms._canonical(fa, fb, fc, disc),
-        quadforms._canonical(-fa, fb, -fc, disc),
-    )
+    return g, quadforms._wide_canonical(fa, fb, fc, fb * fb - 4 * fa * fc)
 
 
 def similarity_class_count_bruteforce(p, entry_bound: int) -> SimilarityClassification:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .contfrac import FundamentalUnit, fundamental_unit, unit_norm
+from .contfrac import FundamentalUnit, fundamental_unit
 from .errors import (
     DiscriminantMismatch,
     InvalidDiscriminant,
@@ -247,6 +247,19 @@ def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     return form if d < 0 else min(_cycle(*form, d))
 
 
+def _wide_canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """Canonical form of the wide class of (a, b, c) (unchecked).
+
+    (a, b, c) -> (-a, b, -c) is the class action of the norm -1 principal
+    form. For d > 0 it joins the two narrow halves of a wide class, named by
+    the lesser canonical form; it fixes every class when the fundamental
+    unit has norm -1. For d < 0 the positive definite one of the two names it.
+    """
+    if d < 0:
+        return _canonical(a, b, c, d) if a > 0 else _canonical(-a, b, -c, d)
+    return min(_canonical(a, b, c, d), _canonical(-a, b, -c, d))
+
+
 def reduce_form(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """An SL(2,Z)-equivalent reduced form.
 
@@ -362,7 +375,7 @@ def _field_class_numbers(d_k: int) -> tuple[int, int]:
     narrow = len(enumerate_reduced_forms(d_k))
     if d_k < 0:
         return narrow, narrow
-    return narrow, narrow if unit_norm(d_k) == -1 else narrow // 2
+    return narrow, narrow if _field_unit(d_k).norm == -1 else narrow // 2
 
 
 def _class_numbers(d_k: int, f: int) -> tuple[int, int]:
@@ -456,16 +469,20 @@ def _power(g: tuple[int, int, int], n: int, d: int) -> tuple[int, int, int]:
 
 
 def class_group_structure(d: int) -> ClassGroupStructure:
-    """Invariant factors of the form class group of discriminant d.
+    """Invariant factors of the form class group of discriminant d."""
+    return _group_structure([(g.a, g.b, g.c) for g in enumerate_reduced_forms(d)], d)
+
+
+def _group_structure(reps: list[tuple[int, int, int]], d: int) -> ClassGroupStructure:
+    """Invariant factors of the class group with one form per class in reps (unchecked).
 
     Read off element orders one Sylow subgroup at a time. For p^e exactly
     dividing h the powers g^(h/p^e) run over the p-part G_p, and
     |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of order >= p^k).
     """
-    reps = [(g.a, g.b, g.c) for g in enumerate_reduced_forms(d)]
     h = len(reps)
-    principal = BinaryQuadraticForm.principal(d)
-    identity = _canonical(principal.a, principal.b, principal.c, d)
+    b0 = d % 2
+    identity = _canonical(1, b0, (b0 * b0 - d) // 4, d)
     powers = []
     for p, e in factorization(h):
         # orders[k]: elements of G_p of order exactly p^k
@@ -520,26 +537,15 @@ def two_part_decomposition(
 def class_representatives(d: int, flavor: str = "narrow") -> list[BinaryQuadraticForm]:
     """Canonical form representatives of the class group of discriminant d.
 
-    ``narrow`` gives one form per proper class. ``wide`` merges each class
-    with its image under the norm -1 principal twist when the fundamental
-    unit has norm +1 (for d < 0 or norm -1 units the two notions agree).
+    ``narrow`` gives one form per proper class. ``wide`` gives one form per
+    wide class: each class merged with the class of (-a, b, -c), named by
+    the lesser canonical form (see `_wide_canonical`). For d < 0, or when
+    the fundamental unit has norm -1, the two notions agree.
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError(f"flavor must be 'narrow' or 'wide', got {flavor!r}")
     reps = enumerate_reduced_forms(d)
-    if flavor == "narrow" or d < 0 or unit_norm(d) == -1:
+    if flavor == "narrow":
         return reps
-    b0 = d % 2
-    twist = _canonical(-1, b0, (d - b0 * b0) // 4, d)
-    out = []
-    seen = set()
-    for g in ((r.a, r.b, r.c) for r in reps):
-        if g in seen:
-            continue
-        partner = _canonical(*_compose(g, twist, d), d)
-        if partner == g:
-            raise AssertionError("norm -1 twist fixed a class despite unit norm +1")
-        seen.add(g)
-        seen.add(partner)
-        out.append(min(g, partner))
-    return [BinaryQuadraticForm(*g) for g in sorted(out)]
+    wide = {_wide_canonical(g.a, g.b, g.c, d) for g in reps}
+    return [BinaryQuadraticForm(*g) for g in sorted(wide)]

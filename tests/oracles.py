@@ -3,10 +3,11 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test: SL(2,Z) word search for reduction, a searched
 concordant pair for composition, direct product-group enumeration for
-structures, scanning Pell solvers, a one-power-at-a-time unit-index loop, a
-plain fold of continued-fraction matrices, continued-fraction periods found
-by remembering every state, a Stern-Brocot walk for the question-mark
-function, and a conjugation BFS for similarity classes.
+structures, the norm -1 twist for wide classes, scanning Pell solvers, a
+one-power-at-a-time unit-index loop, a plain fold of continued-fraction
+matrices, continued-fraction periods found by remembering every state, a
+Stern-Brocot walk for the question-mark function, and a conjugation BFS for
+similarity classes.
 """
 
 from __future__ import annotations
@@ -159,6 +160,31 @@ def composition_table(d):
     reps = enumerate_reduced_forms(d)
     index = {g: i for i, g in enumerate(reps)}
     return reps, [[index[compose(g, k)] for k in reps] for g in reps]
+
+
+def wide_representatives_by_twist(d):
+    """Wide class representatives by composing with the norm -1 twist form.
+
+    When the fundamental unit has norm +1 (d > 0), each narrow class is
+    paired with its product by the principal form of norm -1, which must
+    be a different class, and the lesser canonical form names the pair.
+    Built on the library's ``compose`` and ``unit_norm``.
+    """
+    from rmarith.contfrac import unit_norm
+    from rmarith.quadforms import BinaryQuadraticForm, compose, enumerate_reduced_forms
+
+    reps = enumerate_reduced_forms(d)
+    if d < 0 or unit_norm(d) == -1:
+        return reps
+    b0 = d % 2
+    twist = BinaryQuadraticForm(-1, b0, (d - b0 * b0) // 4)
+    out = set()
+    for g in reps:
+        partner = compose(g, twist)
+        if partner == g:
+            raise AssertionError(f"norm -1 twist fixed {g} although the unit has norm +1")
+        out.add(min((g.a, g.b, g.c), (partner.a, partner.b, partner.c)))
+    return [BinaryQuadraticForm(*g) for g in sorted(out)]
 
 
 def order_multiset_from_table(table, identity):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,83 @@ def run_json(argv, capsys):
     return json.loads(out)
 
 
+# classgroup output, byte for byte: -56 and 60 are a definite and an
+# indefinite group of order 4, and at 60 and 320 the wide class number is
+# half the narrow one
+GOLDEN = {
+    ("-D", "-23"): (
+        "discriminant      -23  (fundamental -23, conductor 1)\n"
+        "class number      narrow 3, wide 3\n"
+        "group structure   Z/3\n"
+        "representatives   (1,1,6) (2,-1,3) (2,1,3)\n"
+    ),
+    ("-D", "-23", "--json"): (
+        '{"D": -23, "d_k": -23, "divisors": [3], "f": 1, "h": 3, "narrow": 3, '
+        '"representatives": [[1, 1, 6], [2, -1, 3], [2, 1, 3]], "wide": 3}\n'
+    ),
+    ("-D", "-23", "--csv"): "a,b,c\r\n1,1,6\r\n2,-1,3\r\n2,1,3\r\n",
+    ("-D", "-56"): (
+        "discriminant      -56  (fundamental -56, conductor 1)\n"
+        "class number      narrow 4, wide 4\n"
+        "group structure   Z/4\n"
+        "representatives   (1,0,14) (2,0,7) (3,-2,5) (3,2,5)\n"
+    ),
+    ("-D", "-56", "--json"): (
+        '{"D": -56, "d_k": -56, "divisors": [4], "f": 1, "h": 4, "narrow": 4, '
+        '"representatives": [[1, 0, 14], [2, 0, 7], [3, -2, 5], [3, 2, 5]], "wide": 4}\n'
+    ),
+    ("-D", "-56", "--csv"): "a,b,c\r\n1,0,14\r\n2,0,7\r\n3,-2,5\r\n3,2,5\r\n",
+    ("-D", "60"): (
+        "discriminant      60  (fundamental 60, conductor 1)\n"
+        "class number      narrow 4, wide 2\n"
+        "group structure   Z/2 x Z/2\n"
+        "representatives   (-6,6,1) (-3,6,2) (-2,6,3) (-1,6,6)\n"
+    ),
+    ("-D", "60", "--json"): (
+        '{"D": 60, "d_k": 60, "divisors": [2, 2], "f": 1, "h": 4, "narrow": 4, '
+        '"representatives": [[-6, 6, 1], [-3, 6, 2], [-2, 6, 3], [-1, 6, 6]], "wide": 2}\n'
+    ),
+    ("-D", "60", "--csv"): "a,b,c\r\n-6,6,1\r\n-3,6,2\r\n-2,6,3\r\n-1,6,6\r\n",
+    ("-d", "5", "-f", "8"): (
+        "discriminant      320  (fundamental 5, conductor 8)\n"
+        "class number      narrow 4, wide 2\n"
+        "group structure   Z/2 x Z/2\n"
+        "representatives   (-16,16,1) (-11,10,5) (-5,10,11) (-1,16,16)\n"
+    ),
+    ("-d", "5", "-f", "8", "--json"): (
+        '{"D": 320, "d_k": 5, "divisors": [2, 2], "f": 8, "h": 4, "narrow": 4, '
+        '"representatives": [[-16, 16, 1], [-11, 10, 5], [-5, 10, 11], [-1, 16, 16]], '
+        '"wide": 2}\n'
+    ),
+    ("-d", "5", "-f", "8", "--csv"): (
+        "a,b,c\r\n-16,16,1\r\n-11,10,5\r\n-5,10,11\r\n-1,16,16\r\n"
+    ),
+}
+
+
 class TestClassgroup:
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+    def test_golden_output(self, argv, capsys):
+        assert run_cli(["classgroup", *argv], capsys) == (0, GOLDEN[argv])
+
+    def test_one_enumeration_per_discriminant(self, capsys, monkeypatch):
+        # the field memo may enumerate a fundamental D once more; the group
+        # structure is read off the forms the command prints
+        real = quadforms.enumerate_reduced_forms
+        calls = Counter()
+
+        def counted(d):
+            calls[d] += 1
+            return real(d)
+
+        monkeypatch.setattr(quadforms, "enumerate_reduced_forms", counted)
+        quadforms._field_class_numbers.cache_clear()
+        for argv, d, most in ((["-D", "-23"], -23, 2), (["-D", "60"], 60, 2),
+                              (["-d", "5", "-f", "8"], 320, 1), (["-D", "-92"], -92, 1)):
+            calls.clear()
+            assert run_cli(["classgroup", *argv], capsys)[0] == 0
+            assert calls[d] <= most, (argv, calls)
+
     def test_json_golden(self, capsys):
         data = run_json(["classgroup", "-D", "-23", "--json"], capsys)
         assert data["h"] == 3
@@ -59,11 +136,26 @@ class TestClassgroup:
 
     def test_bad_field_or_conductor_exit_2(self, capsys):
         # a conductor below 1 and a non-fundamental field discriminant
-        for argv in (["-d", "5", "-f", "-3"], ["-d", "20"]):
+        for argv in (["-d", "5", "-f", "-3"], ["-d", "5", "-f", "0"], ["-d", "20"]):
             assert cli.main(["classgroup", *argv]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-D", "-23", "-d", "5"],  # two orders
+            ["-D", "-23", "-f", "5"],  # a conductor the discriminant already fixes
+            ["-D", "-23", "--json", "--csv"],  # two output formats
+        ],
+        ids=["D-and-d", "f-with-D", "json-and-csv"],
+    )
+    def test_ambiguous_input_exit_2(self, argv, capsys):
+        assert cli.main(["classgroup", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err and "Traceback" not in captured.err
 
     def test_csv(self, capsys):
         code, out = run_cli(["classgroup", "-D", "-23", "--csv"], capsys)
@@ -218,11 +310,12 @@ class TestCacheAndRoundTrip:
         assert content[0] == cli.CACHE_VERSION
         assert any(line.startswith("-56 ") for line in content[1:])
 
-    def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
+    def test_environment_names_no_cache(self, tmp_path, capsys, monkeypatch):
+        # only --cache names a cache file
         cache = tmp_path / "env.cache"
-        monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+        monkeypatch.setenv("RMARITH_CACHE", str(cache))
         run_json(["classgroup", "-D", "-23", "--json"], capsys)
-        assert cache.exists()
+        assert not cache.exists()
 
     def test_version_mismatch_recomputes(self, tmp_path, capsys):
         cache = tmp_path / "stale.cache"

@@ -1,6 +1,6 @@
 import pytest
 
-from rmarith import quadforms
+from rmarith import contfrac, quadforms
 from rmarith import (
     BinaryQuadraticForm,
     QuadraticOrder,
@@ -65,10 +65,12 @@ class TestConductorMap:
             rm_conductor(0, 1)
 
     def test_scan_builds_the_field_unit_once(self, monkeypatch):
+        # the unit's norm comes from the field unit: quadforms has no unit_norm
+        assert not hasattr(quadforms, "unit_norm")
         calls = {"fundamental_unit": [], "unit_norm": []}
 
-        def counted(name):
-            real = getattr(quadforms, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(d):
                 calls[name].append(d)
@@ -76,14 +78,14 @@ class TestConductorMap:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(quadforms, name, counted(name))
+        for module, name in ((quadforms, "fundamental_unit"), (contfrac, "unit_norm")):
+            monkeypatch.setattr(module, name, counted(module, name))
         for memo in (quadforms._field_class_numbers, quadforms._field_unit,
                      quadforms._prime_power_unit_index):
             memo.cache_clear()
         assert rm_conductor(9967, 4) == 389
         d_k = fundamental_discriminant(9967)
-        assert calls == {"fundamental_unit": [d_k], "unit_norm": [d_k]}
+        assert calls == {"fundamental_unit": [d_k], "unit_norm": []}
 
 
 class TestRMTriple:

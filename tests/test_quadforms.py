@@ -40,6 +40,7 @@ from oracles import (
     order_multiset_for_divisors,
     order_multiset_from_table,
     unit_index_linear,
+    wide_representatives_by_twist,
     word_search_reduce,
 )
 
@@ -377,8 +378,12 @@ class TestOrderAndStructureTypes:
 
 class TestWideRepresentatives:
     def test_counts(self):
-        for d in [8, 40, 60, 136, 145, 229, 316, 520, -23, -56]:
+        for d in valid_discriminants(-2999, 3000):
             reps = class_representatives(d, "wide")
             assert len(reps) == class_number(d, "wide"), d
             narrow = class_representatives(d, "narrow")
             assert len(narrow) == class_number(d, "narrow"), d
+
+    def test_matches_twist_oracle(self):
+        for d in valid_discriminants(-2999, 3000):
+            assert class_representatives(d, "wide") == wide_representatives_by_twist(d), d
