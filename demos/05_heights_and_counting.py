@@ -11,13 +11,12 @@ from rmarith import (
     GrowthRegime,
     QuadraticIrrational,
     VarietyProfile,
-    counting_function,
+    classical_count,
     finiteness_check,
     growth_regime,
     minkowski_q,
-    projective_points,
+    quantum_count,
     quantum_height,
-    quantum_theta_points,
 )
 from rmarith.heights import loglog_slope
 
@@ -42,11 +41,10 @@ for thetas, label in [
 
 print("\n=== Counting rational points of P^1 by classical height ===")
 for t in (1, 2, 4, 8):
-    n_points = counting_function(projective_points(1, t))
-    print(f"T = {t}: N = {n_points}")
+    print(f"T = {t}: N = {classical_count(1, t)}")
 
 print("\n=== Counting theta tuples by quantum height: N(T) grows like T^n ===")
-rows = [(t, counting_function(quantum_theta_points(1, t))) for t in (16, 64, 256, 1024)]
+rows = [(t, quantum_count(1, t)) for t in (16, 64, 256, 1024)]
 for t, c in rows:
     print(f"T = {t:5d}: N = {c:5d}  (log2 N = {log2(c):.1f})")
 print(f"log-log slope {loglog_slope(rows):.3f} (here rank = n + 1 = 2)")

@@ -2,8 +2,8 @@
 
 Class groups of binary quadratic forms, periodic continued fractions and
 fundamental units, the imaginary-to-real conductor map, GL(2,Z) matrix
-similarity classes, and Minkowski question-mark heights with their counting
-functions. Everything is computed in exact integer or rational arithmetic.
+similarity classes, and Minkowski question-mark heights with their point
+counts. Everything is computed in exact integer or rational arithmetic.
 """
 
 from .cmrm import RMTriple, rm_conductor, rm_triple
@@ -40,15 +40,14 @@ from .heights import (
     GrowthRegime,
     ProjectivePoint,
     VarietyProfile,
-    counting_function,
+    classical_count,
     finiteness_check,
     growth_regime,
     inverse_minkowski_q,
     minkowski_q,
     projective_height,
-    projective_points,
+    quantum_count,
     quantum_height,
-    quantum_theta_points,
 )
 from .latimer import (
     IntegerMatrix,

@@ -23,6 +23,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from math import log2
 
 from . import __version__, cmrm, contfrac, heights, latimer, quadforms
 from .contfrac import QuadraticIrrational
@@ -141,17 +142,17 @@ def cmd_classgroup(args, cache) -> None:
         if args.conductor is not None:
             raise ValueError("-f goes with -d, not with -D")
         d = args.discriminant
+        d_k, f = quadforms.split_discriminant(d)
     else:
-        f = 1 if args.conductor is None else args.conductor
-        d = quadforms.QuadraticOrder(args.fundamental, f).discriminant
-    narrow, wide = quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide")
+        d_k, f = args.fundamental, 1 if args.conductor is None else args.conductor
+        d = quadforms.QuadraticOrder(d_k, f).discriminant
+    narrow, wide = quadforms._class_numbers(d_k, f)
     if cache:
         cache.verify(d, narrow, wide)
     reps = quadforms.enumerate_reduced_forms(d)
     structure = quadforms._group_structure([(g.a, g.b, g.c) for g in reps], d)
     if structure.h != narrow:
         raise AssertionError("composition group order disagrees with class number")
-    d_k, f = quadforms.split_discriminant(d)
     result = {
         "D": d,
         "d_k": d_k,
@@ -176,15 +177,16 @@ def cmd_rm_conductor(args, cache) -> None:
     core = cmrm._normalize_radicand(args.d)
     cm_order = quadforms.QuadraticOrder(quadforms.fundamental_discriminant(-core), args.f)
     cm_disc = cm_order.discriminant
-    target = quadforms.class_number(cm_disc, "wide")
+    cm_narrow, target = quadforms._class_numbers(cm_order.d_k, cm_order.f)
     if cache:
         # recorded before the scan, so a search-limit failure still saves it
-        cache.verify(cm_disc, quadforms.class_number(cm_disc, "narrow"), target)
+        cache.verify(cm_disc, cm_narrow, target)
     f_prime = cmrm.rm_conductor(core, args.f, search_limit=args.limit)
-    rm_disc = quadforms.fundamental_discriminant(core) * f_prime * f_prime
-    rm_h = quadforms.class_number(rm_disc, "wide")
+    rm_d_k = quadforms.fundamental_discriminant(core)
+    rm_disc = rm_d_k * f_prime * f_prime
+    rm_narrow, rm_h = quadforms._class_numbers(rm_d_k, f_prime)
     if cache:
-        cache.verify(rm_disc, quadforms.class_number(rm_disc, "narrow"), rm_h)
+        cache.verify(rm_disc, rm_narrow, rm_h)
     result = {
         "d": core,
         "f": args.f,
@@ -334,16 +336,9 @@ def cmd_count(args, cache) -> None:
     while t <= args.tmax:
         ts.append(t)
         t *= 2
-    rows_data = []
-    for t in ts:
-        if args.classical:
-            n_points = heights.counting_function(heights.projective_points(args.n, t))
-        else:
-            n_points = heights.counting_function(heights.quantum_theta_points(args.n, t))
-        rows_data.append((t, n_points))
+    count = heights.classical_count if args.classical else heights.quantum_count
+    rows_data = [(t, count(args.n, t)) for t in ts]
     slope = heights.loglog_slope(rows_data)
-    from math import log2
-
     result = {
         "n": args.n,
         "mode": "classical" if args.classical else "quantum",

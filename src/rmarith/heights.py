@@ -5,6 +5,8 @@ sum of powers of 2 for rationals, a closed-form geometric tail over the
 period for quadratic irrationals (so the result is rational either way).
 The quantum height of a coordinate tuple pushes each coordinate through
 ?(.) and takes the standard height of the resulting rational point.
+Point counts N(T) come from closed forms, Moebius inversion for classical
+heights and the dyadic grid for quantum heights; no point is listed.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm, log2
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .contfrac import QuadraticIrrational, cf_expand
 from .errors import OutOfDomain
+from .intmath import factorization
 
 Rational = Union[int, Fraction]
 Coordinate = Union[int, Fraction, QuadraticIrrational]
@@ -173,41 +175,33 @@ def affine_height(values: Sequence[Fraction]) -> int:
     return projective_height(ProjectivePoint(coords))
 
 
-def counting_function(points: Iterable) -> int:
-    """Exact count of an already height-bounded point generator."""
-    return sum(1 for _ in points)
+def classical_count(n: int, t: int) -> int:
+    """Number of points of P^n(Q) with classical height <= t.
 
-
-def projective_points(n: int, t: int) -> Iterator[ProjectivePoint]:
-    """All canonical points of P^n(Q) with classical height <= t."""
-    if n < 1 or t < 1:
-        raise ValueError("need n >= 1 and t >= 1")
-    for lead_pos in range(n + 1):
-        rest_len = n - lead_pos
-        if rest_len == 0:
-            yield ProjectivePoint((0,) * lead_pos + (1,))
-            continue
-        for lead in range(1, t + 1):
-            for rest in product(range(-t, t + 1), repeat=rest_len):
-                g = lead
-                for v in rest:
-                    g = gcd(g, abs(v))
-                if g == 1:
-                    yield ProjectivePoint((0,) * lead_pos + (lead,) + rest)
-
-
-def quantum_theta_points(n: int, t: int) -> Iterator[tuple[Fraction, ...]]:
-    """All rational theta tuples in [0,1)^n with quantum height <= t.
-
-    The question-mark map sends them bijectively onto tuples of dyadics
-    whose common denominator is at most t, so the enumeration inverts the
-    dyadic grid of the largest power of 2 below t.
+    The points are the primitive integer vectors in [-t, t]^(n+1) up to
+    sign, so Moebius inversion over their common divisor d gives
+    N(t) = 1/2 * sum_{d <= t} mu(d) * ((2*floor(t/d) + 1)^(n+1) - 1).
     """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
-    den = 1 << (t.bit_length() - 1)
-    singles = [inverse_minkowski_q(Fraction(j, den)) for j in range(den)]
-    yield from product(singles, repeat=n)
+    total = 0
+    for d in range(1, t + 1):
+        exponents = [e for _, e in factorization(d)]
+        if all(e == 1 for e in exponents):
+            total += (-1) ** len(exponents) * ((2 * (t // d) + 1) ** (n + 1) - 1)
+    return total // 2
+
+
+def quantum_count(n: int, t: int) -> int:
+    """Number of rational theta tuples in [0,1)^n with quantum height <= t.
+
+    The question-mark map sends them bijectively onto tuples of dyadics in
+    [0, 1) whose common denominator is at most t, that is onto the grid of
+    the largest power of 2 not above t: (2^floor(log2 t))^n tuples.
+    """
+    if n < 1 or t < 1:
+        raise ValueError("need n >= 1 and t >= 1")
+    return (1 << (t.bit_length() - 1)) ** n
 
 
 def growth_regime(profile: VarietyProfile) -> GrowthRegime:

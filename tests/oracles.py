@@ -6,8 +6,9 @@ concordant pair for composition, direct product-group enumeration for
 structures, the norm -1 twist for wide classes, scanning Pell solvers, a
 one-power-at-a-time unit-index loop, a plain fold of continued-fraction
 matrices, continued-fraction periods found by remembering every state, a
-Stern-Brocot walk for the question-mark function, and a conjugation BFS for
-similarity classes.
+Stern-Brocot walk for the question-mark function, point enumerators for
+classical and quantum heights (the reference for the closed-form counts),
+and a conjugation BFS for similarity classes.
 """
 
 from __future__ import annotations
@@ -265,6 +266,42 @@ def minkowski_stern_brocot(x: Fraction) -> Fraction:
             rp, rq, ry = mp, mq, my
         else:
             lp, lq, ly = mp, mq, my
+
+
+def projective_points(n, t):
+    """All canonical points of P^n(Q) with classical height <= t, listed."""
+    from rmarith.heights import ProjectivePoint
+
+    if n < 1 or t < 1:
+        raise ValueError("need n >= 1 and t >= 1")
+    for lead_pos in range(n + 1):
+        rest_len = n - lead_pos
+        if rest_len == 0:
+            yield ProjectivePoint((0,) * lead_pos + (1,))
+            continue
+        for lead in range(1, t + 1):
+            for rest in product(range(-t, t + 1), repeat=rest_len):
+                g = lead
+                for v in rest:
+                    g = gcd(g, abs(v))
+                if g == 1:
+                    yield ProjectivePoint((0,) * lead_pos + (lead,) + rest)
+
+
+def quantum_theta_points(n, t):
+    """All rational theta tuples in [0,1)^n with quantum height <= t, listed.
+
+    The question-mark map sends them bijectively onto tuples of dyadics
+    whose common denominator is at most t, so the enumeration inverts the
+    dyadic grid of the largest power of 2 below t.
+    """
+    from rmarith.heights import inverse_minkowski_q
+
+    if n < 1 or t < 1:
+        raise ValueError("need n >= 1 and t >= 1")
+    den = 1 << (t.bit_length() - 1)
+    singles = [inverse_minkowski_q(Fraction(j, den)) for j in range(den)]
+    yield from product(singles, repeat=n)
 
 
 GL2_GENERATORS = (

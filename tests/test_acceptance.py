@@ -213,7 +213,7 @@ def test_criterion_08_regime_classifier_and_slope():
         assert cases == 30
         rows = []
         for t in (2**4, 2**5, 2**6, 2**7, 2**8, 2**9, 2**10):
-            rows.append((t, rm.counting_function(rm.quantum_theta_points(1, t))))
+            rows.append((t, rm.quantum_count(1, t)))
         counts = [c for _, c in rows]
         assert counts == sorted(counts)
         slope = loglog_slope(rows)
@@ -286,13 +286,13 @@ def test_criterion_10_cli_golden_suite(tmp_path, capsys):
 
         # documented exit codes all observed: 0, 2, 3 above; 4 is the
         # internal-invariant guard, driven here through a broken hook
-        original = cli.quadforms.class_number
-        cli.quadforms.class_number = lambda *a, **k: (_ for _ in ()).throw(
+        original = cli.quadforms._class_numbers
+        cli.quadforms._class_numbers = lambda *a, **k: (_ for _ in ()).throw(
             AssertionError("forced")
         )
         try:
             code = cli.main(["classgroup", "-D", "-23"])
         finally:
-            cli.quadforms.class_number = original
+            cli.quadforms._class_numbers = original
         capsys.readouterr()
         assert code == 4

@@ -86,6 +86,58 @@ GOLDEN = {
     ),
 }
 
+# count output, byte for byte: quantum counts in all three formats, the
+# two-row quantum table of n = 2 and two classical tables
+COUNT_GOLDEN = {
+    ("-n", "1", "--tmax", "256"): (
+        "       T            N     log2 N\n"
+        "      16           16      4.000\n"
+        "      32           32      5.000\n"
+        "      64           64      6.000\n"
+        "     128          128      7.000\n"
+        "     256          256      8.000\n"
+        "log-log slope 1.000\n"
+    ),
+    ("-n", "1", "--tmax", "256", "--json"): (
+        '{"mode": "quantum", "n": 1, "rows": [[16, 16, 4.0], [32, 32, 5.0], [64, 64, 6.0], '
+        '[128, 128, 7.0], [256, 256, 8.0]], "slope": 1.0}\n'
+    ),
+    ("-n", "1", "--tmax", "256", "--csv"): (
+        "T,N,log2N\r\n16,16,4.000000\r\n32,32,5.000000\r\n64,64,6.000000\r\n"
+        "128,128,7.000000\r\n256,256,8.000000\r\n"
+    ),
+    ("-n", "2", "--tmin", "64", "--tmax", "128"): (
+        "       T            N     log2 N\n"
+        "      64         4096     12.000\n"
+        "     128        16384     14.000\n"
+        "log-log slope 2.000\n"
+    ),
+    ("-n", "1", "--tmin", "32", "--tmax", "64", "--classical"): (
+        "       T            N     log2 N\n"
+        "      32         1296     10.340\n"
+        "      64         5040     12.299\n"
+        "log-log slope 1.959\n"
+    ),
+    ("-n", "3", "--tmin", "2", "--tmax", "4", "--classical"): (
+        "       T            N     log2 N\n"
+        "       2          272      8.087\n"
+        "       4         2928     11.516\n"
+        "log-log slope 3.428\n"
+    ),
+}
+
+# count input errors and their messages, in both modes
+COUNT_BAD_INPUT = [
+    pytest.param(argv + mode, message, id=" ".join(argv + mode))
+    for argv, message in (
+        (["-n", "0"], "need n >= 1 and t >= 1"),
+        (["-n", "-1"], "need n >= 1 and t >= 1"),
+        (["--tmin", "0"], "need 1 <= tmin <= tmax"),
+        (["--tmin", "3", "--tmax", "3"], "need at least two positive rows"),
+    )
+    for mode in ([], ["--classical"])
+]
+
 
 class TestClassgroup:
     @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
@@ -294,6 +346,17 @@ class TestCount:
         code, _ = run_cli(["count", "--tmin", "64", "--tmax", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", list(COUNT_GOLDEN), ids=" ".join)
+    def test_golden_output(self, argv, capsys):
+        assert run_cli(["count", *argv], capsys) == (0, COUNT_GOLDEN[argv])
+
+    @pytest.mark.parametrize("argv, message", COUNT_BAD_INPUT)
+    def test_bad_input_exit_2(self, argv, message, capsys):
+        assert cli.main(["count", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestCacheAndRoundTrip:
     def test_cache_matches_no_cache(self, tmp_path, capsys):
@@ -400,10 +463,10 @@ class TestCacheAndRoundTrip:
 
 class TestExitCodes:
     def test_internal_invariant_exit_4(self, capsys, monkeypatch):
-        def broken(d, flavor="wide"):
+        def broken(d_k, f):
             raise AssertionError("forced internal failure")
 
-        monkeypatch.setattr(cli.quadforms, "class_number", broken)
+        monkeypatch.setattr(cli.quadforms, "_class_numbers", broken)
         code, _ = run_cli(["classgroup", "-D", "-23"], capsys)
         assert code == 4
 

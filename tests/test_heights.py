@@ -9,20 +9,19 @@ from rmarith import (
     ProjectivePoint,
     QuadraticIrrational,
     VarietyProfile,
-    counting_function,
+    classical_count,
     finiteness_check,
     growth_regime,
     inverse_minkowski_q,
     minkowski_q,
     projective_height,
-    projective_points,
+    quantum_count,
     quantum_height,
-    quantum_theta_points,
 )
 from rmarith.heights import loglog_slope
 from rmarith.intmath import is_square
 
-from oracles import minkowski_stern_brocot
+from oracles import minkowski_stern_brocot, projective_points, quantum_theta_points
 
 
 class TestMinkowski:
@@ -171,27 +170,35 @@ class TestQuantumHeight:
 
 
 class TestCounting:
-    def test_empty(self):
-        assert counting_function(iter(())) == 0
-
     def test_counts_generator(self):
-        assert counting_function(projective_points(1, 1)) == 4
+        assert classical_count(1, 1) == 4
 
     def test_quantum_counts_are_exact_powers(self):
         for t in (16, 64, 256):
-            assert counting_function(quantum_theta_points(1, t)) == t
-        assert counting_function(quantum_theta_points(2, 16)) == 256
+            assert quantum_count(1, t) == t
+        assert quantum_count(2, 16) == 256
 
     def test_quantum_points_heights_bounded(self):
         for theta in quantum_theta_points(1, 32):
             assert quantum_height(theta) <= 32
 
     def test_slope_of_quantum_counts(self):
-        rows = [
-            (t, counting_function(quantum_theta_points(1, t)))
-            for t in (16, 32, 64, 128, 256)
-        ]
+        rows = [(t, quantum_count(1, t)) for t in (16, 32, 64, 128, 256)]
         assert abs(loglog_slope(rows) - 1.0) < 1e-9
+
+    def test_closed_forms_match_enumerators(self):
+        for n, t_end in ((1, 40), (2, 12), (3, 5)):
+            for t in range(1, t_end):
+                assert classical_count(n, t) == sum(1 for _ in projective_points(n, t)), (n, t)
+        for n, t_end in ((1, 300), (2, 40)):
+            for t in range(1, t_end):
+                assert quantum_count(n, t) == sum(1 for _ in quantum_theta_points(n, t)), (n, t)
+
+    @pytest.mark.parametrize("count", [classical_count, quantum_count])
+    def test_closed_forms_reject_bad_input(self, count):
+        for n, t in ((0, 4), (-1, 4), (1, 0), (2, -3)):
+            with pytest.raises(ValueError, match="need n >= 1 and t >= 1"):
+                count(n, t)
 
 
 class TestRegime:
