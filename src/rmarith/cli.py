@@ -2,12 +2,11 @@
 
 Subcommands: classgroup, rm-conductor, cf, sha, height, count. Output is a
 human table by default, JSON with --json, CSV with --csv (not both); the
-conductor -f of classgroup goes only with -d. A class-number cache (plain
-text, versioned) can be pointed at with --cache. It is a checked record of
-the class numbers a command prints: they are computed without it, checked
-against its entries and added to it, so no entry can change an answer. A
-malformed cache file, an unwritable cache path or a disagreeing entry is an
-input error.
+conductor -f of classgroup goes only with -d. classgroup and rm-conductor
+take a class-number cache (plain text, versioned) with --cache, a checked
+record of the class numbers they print: computed without it, checked against
+its entries and added to it, so no entry can change an answer. A malformed
+cache file, an unwritable cache path or a disagreeing entry is an input error.
 
 Exit codes: 0 success, 2 input error, 3 search limit exceeded, 4 internal
 invariant violation.
@@ -23,13 +22,14 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
-from math import log2
+from math import log2, log10
 
 from . import __version__, cmrm, contfrac, heights, latimer, quadforms
 from .contfrac import QuadraticIrrational
 from .errors import RmarithError, SearchLimitExceeded
 
 CACHE_VERSION = "rmarith-cache 1"
+COUNT_MAX_DIGITS = 100_000  # the longest N(T) that count prints
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -221,7 +221,7 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), den)
 
 
-def cmd_cf(args, cache) -> None:
+def cmd_cf(args) -> None:
     given = [v for v in (args.sqrt, args.surd, args.rational) if v is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --sqrt, --surd, --rational")
@@ -260,7 +260,7 @@ def cmd_cf(args, cache) -> None:
     _emit(args, result, human, rows)
 
 
-def cmd_sha(args, cache) -> None:
+def cmd_sha(args) -> None:
     given = [v for v in (args.matrix, args.charpoly) if v is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --matrix, --charpoly")
@@ -308,7 +308,7 @@ def _parse_theta(text: str):
     return _parse_fraction(text)
 
 
-def cmd_height(args, cache) -> None:
+def cmd_height(args) -> None:
     thetas = [_parse_theta(t) for t in args.theta]
     values = [heights.question_mark_mod_1(theta) for theta in thetas]
     h = heights.affine_height(values)
@@ -328,9 +328,13 @@ def cmd_height(args, cache) -> None:
     _emit(args, result, human, rows)
 
 
-def cmd_count(args, cache) -> None:
+def cmd_count(args) -> None:
     if args.tmin < 1 or args.tmax < args.tmin:
         raise ValueError("need 1 <= tmin <= tmax")
+    # N(T) < 2^((n + 1)(b + 1)) for T < 2^b, in both modes
+    digits = int((args.n + 1) * (args.tmax.bit_length() + 1) * log10(2)) + 1
+    if digits > COUNT_MAX_DIGITS:
+        raise ValueError(f"N(T) may have {digits} digits, over {COUNT_MAX_DIGITS}: lower -n or --tmax")
     ts = []
     t = args.tmin
     while t <= args.tmax:
@@ -368,17 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     output = common.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true", help="machine-readable output")
     output.add_argument("--csv", action="store_true", help="CSV output")
-    common.add_argument("--cache", metavar="PATH", help="class-number cache file")
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache", metavar="PATH", help="class-number cache file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classgroup", parents=[common],
+    p = sub.add_parser("classgroup", parents=[common, cached],
                        help="class group of a quadratic order")
     order = p.add_mutually_exclusive_group(required=True)
     order.add_argument("-D", "--discriminant", type=int, help="order discriminant")
     order.add_argument("-d", "--fundamental", type=int, help="fundamental discriminant")
     p.add_argument("-f", "--conductor", type=int, help="conductor, with -d only (default 1)")
 
-    p = sub.add_parser("rm-conductor", parents=[common],
+    p = sub.add_parser("rm-conductor", parents=[common, cached],
                        help="least real conductor matching an imaginary class number")
     p.add_argument("-d", type=int, required=True, help="positive radicand (squarefree core taken)")
     p.add_argument("-f", type=int, default=1, help="imaginary-side conductor")
@@ -426,10 +431,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:
-        cache = ClassNumberCache(args.cache) if args.cache else None
+        cache = ClassNumberCache(args.cache) if getattr(args, "cache", None) else None
         try:
             with _long_int_strings():
-                COMMANDS[args.command](args, cache)
+                if "cache" in args:  # classgroup and rm-conductor
+                    COMMANDS[args.command](args, cache)
+                else:
+                    COMMANDS[args.command](args)
         finally:
             if cache:
                 cache.save()

@@ -328,15 +328,13 @@ def convergents(cf: ContinuedFraction, count: int) -> list[Fraction]:
 def evaluate(cf: ContinuedFraction) -> Union[Fraction, QuadraticIrrational]:
     """Exact value of the (possibly periodic) expansion.
 
-    For a periodic expansion the purely periodic tail t is the positive fixed
-    point of the period's word matrix; the preperiod then acts on t as a
-    Moebius map.
+    A finite expansion is p_n/q_n, read off its word matrix. For a periodic
+    one the purely periodic tail t is the positive fixed point of the
+    period's word matrix; the preperiod then acts on t as a Moebius map.
     """
     if not cf.is_periodic:
-        value = Fraction(cf.preperiod[-1])
-        for a in reversed(cf.preperiod[:-1]):
-            value = a + 1 / value
-        return value
+        a11, _, a21, _ = _word_matrix(cf.preperiod)
+        return Fraction(a11, a21)
     a11, a12, a21, a22 = _word_matrix(cf.period)
     # tail t solves a21*t^2 + (a22 - a11)*t - a12 = 0, t > 1: take + root
     disc = (a22 - a11) ** 2 + 4 * a12 * a21

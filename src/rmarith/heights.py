@@ -1,8 +1,8 @@
 """Minkowski question-mark values, projective and quantum heights, counting.
 
-?(x) is evaluated exactly from the continued fraction: a finite alternating
-sum of powers of 2 for rationals, a closed-form geometric tail over the
-period for quadratic irrationals (so the result is rational either way).
+?(x) folds [0; a1, a2, ...] into one affine map, u -> (2 - u)/2^a per term
+(Salem), applied to 0 for rationals and to the period map's fixed point for
+quadratic irrationals; the inverse reads a dyadic's binary digit runs as x.
 The quantum height of a coordinate tuple pushes each coordinate through
 ?(.) and takes the standard height of the resulting rational point.
 Point counts N(T) come from closed forms, Moebius inversion for classical
@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm, log2
 from typing import Optional, Sequence, Union
 
-from .contfrac import QuadraticIrrational, cf_expand
+from .contfrac import QuadraticIrrational, _word_matrix, cf_expand
 from .errors import OutOfDomain
 from .intmath import factorization
 
@@ -84,12 +85,20 @@ class VarietyProfile:
         object.__setattr__(self, "betti", betti)
 
 
+def _fold(word) -> tuple[int, int, int]:
+    """(p, s, e) with u -> (p + s*u)/2^e the composite of u -> (2 - u)/2^a over the word."""
+    p, s, e = 0, 1, 0
+    for a in reversed(word):
+        p, s, e = (2 << e) - p, -s, e + a
+    return p, s, e
+
+
 def minkowski_q(x: Union[Rational, QuadraticIrrational]) -> Fraction:
     """?(x) for x in [0, 1], exactly.
 
-    Sum over the expansion [0; a1, a2, ...] of (-1)^(k+1) * 2^(1 - (a1+...+ak)).
-    Rationals give a finite (dyadic) sum; for quadratic irrationals the
-    periodic tail is an exact geometric series, hence a rational value.
+    ?([0; a1, a2, ...]) = (2 - ?([0; a2, ...]))/2^a1, so the expansion folds
+    into one affine map of the tail's value: 0 after a finite expansion (a
+    dyadic result), the fixed point of the period's map for a periodic one.
     """
     if isinstance(x, QuadraticIrrational):
         if x.compare(0) < 0 or x.compare(1) > 0:
@@ -101,29 +110,20 @@ def minkowski_q(x: Union[Rational, QuadraticIrrational]) -> Fraction:
         if x == 0 or x == 1:
             return Fraction(x)
     cf = cf_expand(x)
-    terms = cf.preperiod[1:]  # skip the leading 0
-    total = Fraction(0)
-    running = 0
-    for k, a in enumerate(terms, start=1):
-        running += a
-        total += Fraction((-1) ** (k + 1) * 2, 2**running)
+    p, s, e = _fold(cf.preperiod[1:])  # skip the leading 0
     if not cf.is_periodic:
-        return total
-    m = len(terms)
-    block = Fraction(0)
-    for i, a in enumerate(cf.period, start=1):
-        running += a
-        block += Fraction((-1) ** (m + i + 1) * 2, 2**running)
-    ratio = Fraction((-1) ** len(cf.period), 2 ** sum(cf.period))
-    return total + block / (1 - ratio)
+        return Fraction(p, 1 << e)
+    tp, ts, te = _fold(cf.period)  # ?(tail) = tp/(2^te - ts), its fixed point
+    den = (1 << te) - ts
+    return Fraction(p * den + s * tp, den << e)
 
 
 def inverse_minkowski_q(y: Rational) -> Fraction:
     """The rational x with ?(x) = y, for dyadic y in [0, 1].
 
-    Walks the Stern-Brocot tree: the question-mark value of a mediant is the
-    dyadic midpoint of its parents' values, so the walk is an exact binary
-    search that terminates on dyadic input.
+    The binary digits of ?([0; a1, a2, ..., am]) run as a1 - 1 zeros, a2
+    ones, a3 zeros, ..., so the runs r1, r2, ..., rm of y's digits (r1 zeros,
+    possibly none) give x = [0; r1 + 1, r2, ..., rm].
     """
     y = Fraction(y)
     if y < 0 or y > 1:
@@ -132,17 +132,9 @@ def inverse_minkowski_q(y: Rational) -> Fraction:
         raise OutOfDomain(f"{y} is not dyadic")
     if y == 0 or y == 1:
         return y
-    lp, lq, ly = 0, 1, Fraction(0)
-    rp, rq, ry = 1, 1, Fraction(1)
-    while True:
-        mp, mq = lp + rp, lq + rq
-        my = (ly + ry) / 2
-        if y == my:
-            return Fraction(mp, mq)
-        if y < my:
-            rp, rq, ry = mp, mq, my
-        else:
-            lp, lq, ly = mp, mq, my
+    digits = format(y.numerator, f"0{y.denominator.bit_length() - 1}b")
+    a11, _, a21, _ = _word_matrix([len(list(run)) for _, run in groupby("0" + digits)])
+    return Fraction(a21, a11)
 
 
 def projective_height(point: ProjectivePoint) -> int:

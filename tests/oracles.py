@@ -5,10 +5,10 @@ implementations under test: SL(2,Z) word search for reduction, a searched
 concordant pair for composition, direct product-group enumeration for
 structures, the norm -1 twist for wide classes, scanning Pell solvers, a
 one-power-at-a-time unit-index loop, a plain fold of continued-fraction
-matrices, continued-fraction periods found by remembering every state, a
-Stern-Brocot walk for the question-mark function, point enumerators for
-classical and quantum heights (the reference for the closed-form counts),
-and a conjugation BFS for similarity classes.
+matrices, continued-fraction periods found by remembering every state,
+Stern-Brocot walks for the question-mark function and its inverse on
+dyadics, point enumerators for classical and quantum heights (the reference
+for the closed-form counts), and a conjugation BFS for similarity classes.
 """
 
 from __future__ import annotations
@@ -268,6 +268,28 @@ def minkowski_stern_brocot(x: Fraction) -> Fraction:
             lp, lq, ly = mp, mq, my
 
 
+def inverse_minkowski_stern_brocot(y: Fraction) -> Fraction:
+    """The rational x with ?(x) = y, for dyadic y in [0, 1].
+
+    Walks the Stern-Brocot tree: the question-mark value of a mediant is the
+    dyadic midpoint of its parents' values, so the walk is an exact binary
+    search that terminates on dyadic input.
+    """
+    if y == 0 or y == 1:
+        return Fraction(y)
+    lp, lq, ly = 0, 1, Fraction(0)
+    rp, rq, ry = 1, 1, Fraction(1)
+    while True:
+        mp, mq = lp + rp, lq + rq
+        my = (ly + ry) / 2
+        if y == my:
+            return Fraction(mp, mq)
+        if y < my:
+            rp, rq, ry = mp, mq, my
+        else:
+            lp, lq, ly = mp, mq, my
+
+
 def projective_points(n, t):
     """All canonical points of P^n(Q) with classical height <= t, listed."""
     from rmarith.heights import ProjectivePoint
@@ -295,12 +317,10 @@ def quantum_theta_points(n, t):
     whose common denominator is at most t, so the enumeration inverts the
     dyadic grid of the largest power of 2 below t.
     """
-    from rmarith.heights import inverse_minkowski_q
-
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
     den = 1 << (t.bit_length() - 1)
-    singles = [inverse_minkowski_q(Fraction(j, den)) for j in range(den)]
+    singles = [inverse_minkowski_stern_brocot(Fraction(j, den)) for j in range(den)]
     yield from product(singles, repeat=n)
 
 

@@ -357,6 +357,25 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("mode", [[], ["--classical"], ["--json"]])
+    def test_huge_answer_refused_before_counting(self, mode, capsys, monkeypatch):
+        def never(n, t):
+            raise AssertionError("counted although the answer is too long")
+
+        monkeypatch.setattr(cli.heights, "classical_count", never)
+        monkeypatch.setattr(cli.heights, "quantum_count", never)
+        assert cli.main(["count", "-n", "2000000", "--tmin", "2", "--tmax", "4", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N(T) may have 2408242 digits, over 100000: lower -n or --tmax\n"
+
+    def test_answer_size_limit_is_exact(self, capsys, monkeypatch):
+        # at --tmax 4 the bound is (n + 1) * 4 bits: n = 83047 is the largest
+        # n whose bound stays within COUNT_MAX_DIGITS
+        monkeypatch.setattr(cli.heights, "quantum_count", lambda n, t: t)
+        assert run_cli(["count", "-n", "83047", "--tmin", "2", "--tmax", "4"], capsys)[0] == 0
+        assert run_cli(["count", "-n", "83048", "--tmin", "2", "--tmax", "4"], capsys)[0] == 2
+
 
 class TestCacheAndRoundTrip:
     def test_cache_matches_no_cache(self, tmp_path, capsys):
@@ -372,6 +391,20 @@ class TestCacheAndRoundTrip:
         content = cache.read_text().splitlines()
         assert content[0] == cli.CACHE_VERSION
         assert any(line.startswith("-56 ") for line in content[1:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cf", "--sqrt", "2"], ["sha", "--charpoly", "1,0,5"],
+         ["height", "--theta", "1/3"], ["count"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_cache_offered_only_where_used(self, argv, tmp_path, capsys):
+        cache = tmp_path / "bad.cache"
+        cache.write_text(f"{cli.CACHE_VERSION}\nnot a cache line\n")
+        assert cli.main([*argv, "--cache", str(cache)]) == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        assert cache.read_text() == f"{cli.CACHE_VERSION}\nnot a cache line\n"
 
     def test_environment_names_no_cache(self, tmp_path, capsys, monkeypatch):
         # only --cache names a cache file

@@ -18,10 +18,16 @@ from rmarith import (
     quantum_count,
     quantum_height,
 )
+from rmarith.contfrac import cf_expand, convergents
 from rmarith.heights import loglog_slope
 from rmarith.intmath import is_square
 
-from oracles import minkowski_stern_brocot, projective_points, quantum_theta_points
+from oracles import (
+    inverse_minkowski_stern_brocot,
+    minkowski_stern_brocot,
+    projective_points,
+    quantum_theta_points,
+)
 
 
 class TestMinkowski:
@@ -96,6 +102,36 @@ class TestMinkowski:
                 y = Fraction(a, 2**m)
                 x = inverse_minkowski_q(y)
                 assert minkowski_q(x) == y
+
+    def test_inverse_matches_stern_brocot_oracle_small(self):
+        for m in range(0, 11):
+            for a in range(0, 2**m + 1):
+                y = Fraction(a, 2**m)
+                assert inverse_minkowski_q(y) == inverse_minkowski_stern_brocot(y), y
+
+    def test_inverse_matches_stern_brocot_oracle_long(self):
+        rng = random.Random(2412)
+        for _ in range(12):
+            m = rng.randint(11, 2000)
+            y = Fraction(rng.randrange(1, 2**m, 2), 2**m)
+            assert inverse_minkowski_q(y) == inverse_minkowski_stern_brocot(y), y
+
+    def test_quadratic_between_convergent_oracles(self):
+        # ? is strictly increasing and consecutive convergents bracket x
+        rng = random.Random(9148)
+        done = 0
+        while done < 60:
+            d = rng.randint(2, 2000)
+            if is_square(d):
+                continue
+            x = QuadraticIrrational(rng.randint(-50, 50), rng.randint(1, 50), d)
+            x = x.shift(-x.floor())
+            value = minkowski_q(x)
+            convs = convergents(cf_expand(x), 10)
+            bounds = [minkowski_stern_brocot(c) for c in convs[1:]]
+            for lo_hi in zip(bounds, bounds[1:]):
+                assert min(lo_hi) < value < max(lo_hi), (x, lo_hi)
+            done += 1
 
     def test_inverse_rejects_non_dyadic(self):
         with pytest.raises(OutOfDomain):
