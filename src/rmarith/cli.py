@@ -149,8 +149,9 @@ def cmd_classgroup(args, cache) -> None:
     narrow, wide = quadforms._class_numbers(d_k, f)
     if cache:
         cache.verify(d, narrow, wide)
-    reps = quadforms.enumerate_reduced_forms(d)
-    structure = quadforms._group_structure([(g.a, g.b, g.c) for g in reps], d)
+    names = quadforms._classes(d)
+    structure = quadforms._group_structure(names, d)
+    reps = [quadforms.BinaryQuadraticForm(*g) for g in sorted(set(names.values()))]
     if structure.h != narrow:
         raise AssertionError("composition group order disagrees with class number")
     result = {

@@ -27,38 +27,27 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of |n|, ascending (trial division)."""
+def factorization(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of |n| as ascending (p, exponent) pairs (trial division)."""
     n = abs(n)
     out = []
-    for p in (2, 3):
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    p = 5
+    p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
-        p += 2 if p % 6 == 5 else 4
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 4 if p % 6 == 1 else 2  # 2, 3, then 6k +- 1
     if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def factorization(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of |n| as (p, exponent) pairs."""
-    n = abs(n)
-    out = []
-    for p in prime_factors(n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
+        out.append((n, 1))
     return out
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of |n|, ascending."""
+    return tuple(p for p, _ in factorization(n))
 
 
 def squarefree_core(n: int) -> tuple[int, int]:
@@ -91,13 +80,7 @@ def kronecker(a: int, p: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of |n|, ascending. n must be nonzero."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorization(n):
+        out += [q * p**k for k in range(1, e + 1) for q in out]
+    return sorted(out)

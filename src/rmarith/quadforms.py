@@ -5,9 +5,13 @@ quadratic order of discriminant D, for definite and indefinite D alike.
 Definite forms reduce to a unique representative; indefinite forms reduce
 onto rho-cycles, and each cycle is one proper class.
 
+Each class is named once: `_classes(d)` maps every reduced form to the least
+form of its class, one rho-walk per cycle, and the class-group code reads
+names from it; a wide class joins the classes of (a, b, c) and (-a, b, -c).
+
 `class_number` validates D and splits it as f^2 * d_K once; the unchecked
 kernel `_class_numbers(d_K, f)` does the rest. A field's class numbers come
-from form enumeration, memoised for the last 64 fields; a non-maximal order
+from the class map, memoised for the last 64 fields; a non-maximal order
 goes through the classical conductor formula (with the unit index computed
 from the fundamental unit), which the form-enumeration route cross-checks
 in the test suite. No memo grows with the number of discriminants asked.
@@ -251,13 +255,13 @@ def _wide_canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     """Canonical form of the wide class of (a, b, c) (unchecked).
 
     (a, b, c) -> (-a, b, -c) is the class action of the norm -1 principal
-    form. For d > 0 it joins the two narrow halves of a wide class, named by
-    the lesser canonical form; it fixes every class when the fundamental
-    unit has norm -1. For d < 0 the positive definite one of the two names it.
+    form and commutes with rho, so for d > 0 one cycle walk meets both narrow
+    halves of the wide class; the least form of either names it. For d < 0
+    the positive definite one of the two names it.
     """
     if d < 0:
         return _canonical(a, b, c, d) if a > 0 else _canonical(-a, b, -c, d)
-    return min(_canonical(a, b, c, d), _canonical(-a, b, -c, d))
+    return min(min(g, (-g[0], g[1], -g[2])) for g in _cycle(*_reduce(a, b, c, d), d))
 
 
 def reduce_form(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
@@ -280,11 +284,12 @@ def canonical_representative(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(*_canonical(form.a, form.b, form.c, d))
 
 
-def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
-    """All reduced primitive forms (D < 0) or one form per cycle (D > 0)."""
-    validate_discriminant(d)
+def _classes(d: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """Map each reduced primitive form of discriminant d to the least form of
+    its proper class (unchecked): itself for d < 0, the least on its rho-cycle
+    for d > 0, each cycle walked once."""
     if d < 0:
-        out = []
+        names = {}
         for a in range(1, isqrt(-d // 3) + 1):
             for b in range(-a, a + 1):
                 if (b - d) % 2:
@@ -297,8 +302,8 @@ def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
                 if b < 0 and (b == -a or a == c):
                     continue
                 if gcd(gcd(a, abs(b)), c) == 1:
-                    out.append(BinaryQuadraticForm(a, b, c))
-        return sorted(out, key=lambda g: (g.a, g.b))
+                    names[a, b, c] = (a, b, c)
+        return names
 
     s = isqrt(d)
     reduced = set()
@@ -311,18 +316,29 @@ def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
             if gcd(gcd(a, b), c) == 1:
                 reduced.add((a, b, -c))
                 reduced.add((-a, b, c))
-    reps = []
-    seen: set[tuple[int, int, int]] = set()
+    names = {}
     for form in sorted(reduced):
-        if form in seen:
+        if form in names:
             continue
+        # forms are visited in ascending order, so the first of a cycle is its least
         for g in _cycle(*form, d):
             if g not in reduced:
                 raise AssertionError(f"cycle of {form} left the reduced set at {g}")
-            seen.add(g)
-        # forms are visited in ascending order, so the first of a cycle is its least
-        reps.append(BinaryQuadraticForm(*form))
-    return reps
+            names[g] = form
+    return names
+
+
+def _wide_names(names: dict, d: int) -> set[tuple[int, int, int]]:
+    """Names of the wide classes: each proper class joined with that of (-a, b, -c)."""
+    if d < 0:
+        return set(names.values())
+    return {min(g, names[-g[0], g[1], -g[2]]) for g in set(names.values())}
+
+
+def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
+    """All reduced primitive forms (D < 0) or one form per cycle (D > 0)."""
+    validate_discriminant(d)
+    return [BinaryQuadraticForm(*g) for g in sorted(set(_classes(d).values()))]
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +388,8 @@ def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
 @lru_cache(maxsize=64)
 def _field_class_numbers(d_k: int) -> tuple[int, int]:
     """(narrow, wide) class numbers of the maximal order of d_k, memoised."""
-    narrow = len(enumerate_reduced_forms(d_k))
-    if d_k < 0:
-        return narrow, narrow
-    return narrow, narrow if _field_unit(d_k).norm == -1 else narrow // 2
+    names = _classes(d_k)
+    return len(set(names.values())), len(_wide_names(names, d_k))
 
 
 def _class_numbers(d_k: int, f: int) -> tuple[int, int]:
@@ -457,42 +471,44 @@ def compose(
 
 
 def _power(g: tuple[int, int, int], n: int, d: int) -> tuple[int, int, int]:
-    """Canonical representative of g^n for n >= 1, by square-and-multiply."""
+    """A reduced form in the class of g^n for n >= 1, by square-and-multiply."""
     acc = None
     while True:
         if n & 1:
             acc = g if acc is None else _reduce(*_compose(acc, g, d), d)
         n >>= 1
         if not n:
-            return _canonical(*acc, d)
+            return acc
         g = _reduce(*_compose(g, g, d), d)
 
 
 def class_group_structure(d: int) -> ClassGroupStructure:
     """Invariant factors of the form class group of discriminant d."""
-    return _group_structure([(g.a, g.b, g.c) for g in enumerate_reduced_forms(d)], d)
+    validate_discriminant(d)
+    return _group_structure(_classes(d), d)
 
 
-def _group_structure(reps: list[tuple[int, int, int]], d: int) -> ClassGroupStructure:
-    """Invariant factors of the class group with one form per class in reps (unchecked).
+def _group_structure(names: dict, d: int) -> ClassGroupStructure:
+    """Invariant factors of the class group of d, from its map `_classes(d)` (unchecked).
 
     Read off element orders one Sylow subgroup at a time. For p^e exactly
     dividing h the powers g^(h/p^e) run over the p-part G_p, and
     |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of order >= p^k).
     """
+    reps = set(names.values())
     h = len(reps)
     b0 = d % 2
-    identity = _canonical(1, b0, (b0 * b0 - d) // 4, d)
+    identity = names[_reduce(1, b0, (b0 * b0 - d) // 4, d)]
     powers = []
     for p, e in factorization(h):
         # orders[k]: elements of G_p of order exactly p^k
         orders = [0] * (e + 1)
-        for x in {_power(g, h // p**e, d) for g in reps}:
+        for x in {names[_power(g, h // p**e, d)] for g in reps}:
             for k in range(e + 1):
                 if x == identity:
                     orders[k] += 1
                     break
-                x = _power(x, p, d)
+                x = names[_power(x, p, d)]
             else:
                 raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
         torsion = [sum(orders[: k + 1]) for k in range(e + 1)]
@@ -539,13 +555,12 @@ def class_representatives(d: int, flavor: str = "narrow") -> list[BinaryQuadrati
 
     ``narrow`` gives one form per proper class. ``wide`` gives one form per
     wide class: each class merged with the class of (-a, b, -c), named by
-    the lesser canonical form (see `_wide_canonical`). For d < 0, or when
-    the fundamental unit has norm -1, the two notions agree.
+    the lesser canonical form. For d < 0, or when the fundamental unit has
+    norm -1, the two notions agree.
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError(f"flavor must be 'narrow' or 'wide', got {flavor!r}")
-    reps = enumerate_reduced_forms(d)
-    if flavor == "narrow":
-        return reps
-    wide = {_wide_canonical(g.a, g.b, g.c, d) for g in reps}
-    return [BinaryQuadraticForm(*g) for g in sorted(wide)]
+    validate_discriminant(d)
+    names = _classes(d)
+    reps = set(names.values()) if flavor == "narrow" else _wide_names(names, d)
+    return [BinaryQuadraticForm(*g) for g in sorted(reps)]

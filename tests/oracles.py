@@ -3,12 +3,14 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test: SL(2,Z) word search for reduction, a searched
 concordant pair for composition, direct product-group enumeration for
-structures, the norm -1 twist for wide classes, scanning Pell solvers, a
-one-power-at-a-time unit-index loop, a plain fold of continued-fraction
-matrices, continued-fraction periods found by remembering every state,
-Stern-Brocot walks for the question-mark function and its inverse on
-dyadics, point enumerators for classical and quantum heights (the reference
-for the closed-form counts), and a conjugation BFS for similarity classes.
+structures, the norm -1 twist and the unit-norm rule for wide classes, two
+cycle walks for a wide-class name, scanning Pell solvers, a
+one-power-at-a-time unit-index loop, trial division by every integer, a
+plain fold of continued-fraction matrices, continued-fraction periods found
+by remembering every state, Stern-Brocot walks for the question-mark
+function and its inverse on dyadics, point enumerators for classical and
+quantum heights (the reference for the closed-form counts), and a
+conjugation BFS for similarity classes.
 """
 
 from __future__ import annotations
@@ -188,6 +190,36 @@ def wide_representatives_by_twist(d):
     return [BinaryQuadraticForm(*g) for g in sorted(out)]
 
 
+def wide_class_number_by_unit_norm(d):
+    """Wide class number from the narrow one and the fundamental unit's norm.
+
+    The two agree for d < 0 or when the unit has norm -1; otherwise each
+    wide class joins two narrow ones. Built on the library's form
+    enumeration and ``unit_norm``.
+    """
+    from rmarith.contfrac import unit_norm
+    from rmarith.quadforms import enumerate_reduced_forms
+
+    narrow = len(enumerate_reduced_forms(d))
+    return narrow if d < 0 or unit_norm(d) == -1 else narrow // 2
+
+
+def wide_canonical_two_walks(a, b, c):
+    """Wide-class name of a primitive form: the lesser of the canonical forms
+    of (a, b, c) and (-a, b, -c), each from its own walk of its rho-cycle
+    through the library's ``canonical_representative``. For d < 0 only the
+    positive definite one of the two has a name.
+    """
+    from rmarith.quadforms import BinaryQuadraticForm, canonical_representative
+
+    names = []
+    for f in ((a, b, c), (-a, b, -c)):
+        if b * b - 4 * a * c > 0 or f[0] > 0:
+            g = canonical_representative(BinaryQuadraticForm(*f))
+            names.append((g.a, g.b, g.c))
+    return min(names)
+
+
 def order_multiset_from_table(table, identity):
     counter = Counter()
     for g in range(len(table)):
@@ -230,6 +262,28 @@ def unit_index_linear(d_k, f):
         if n > 16 * f * f + 16:
             raise AssertionError(f"unit index loop ran past 16 f^2 + 16 for ({d_k}, {f})")
     return n
+
+
+def factorization_by_every_divisor(n):
+    """(p, e) pairs of |n| by trial division with every integer from 2."""
+    n, out, p = abs(n), [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors_by_scan(n):
+    """Positive divisors of |n| by testing every d up to its square root."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def expand_by_state_repetition(p, q, d):

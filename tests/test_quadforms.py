@@ -40,6 +40,8 @@ from oracles import (
     order_multiset_for_divisors,
     order_multiset_from_table,
     unit_index_linear,
+    wide_canonical_two_walks,
+    wide_class_number_by_unit_norm,
     wide_representatives_by_twist,
     word_search_reduce,
 )
@@ -324,6 +326,23 @@ class TestStructure:
         for d in valid_discriminants(-150, 0):
             assert class_group_structure(d).h == class_number(d, "narrow")
 
+    @pytest.mark.parametrize("d", [60, 2042040, 4 * 1009 * 1013])
+    def test_one_rho_walk_per_narrow_class(self, d, monkeypatch):
+        h = class_number(d, "narrow")
+        real_cycle = quadforms._cycle
+        walks = 0
+
+        def counting_cycle(a, b, c, d):
+            nonlocal walks
+            walks += 1
+            return real_cycle(a, b, c, d)
+
+        monkeypatch.setattr(quadforms, "_cycle", counting_cycle)
+        for call in (class_group_structure, lambda d: class_representatives(d, "wide")):
+            walks = 0
+            call(d)
+            assert walks == h, (d, call)
+
 
 class TestTwoPart:
     def test_examples(self):
@@ -387,3 +406,19 @@ class TestWideRepresentatives:
     def test_matches_twist_oracle(self):
         for d in valid_discriminants(-2999, 3000):
             assert class_representatives(d, "wide") == wide_representatives_by_twist(d), d
+
+    def test_wide_count_matches_unit_norm_rule(self):
+        for d in list(valid_discriminants(-2999, 0)) + list(valid_discriminants(5, 3000)):
+            if split_discriminant(d)[1] == 1:
+                assert class_number(d, "wide") == wide_class_number_by_unit_norm(d), d
+
+    def test_wide_canonical_matches_two_walks(self):
+        # short SL(2,Z) images of every reduced form, and of their negatives
+        rng = random.Random(12)
+        steps = (apply_s, apply_t, apply_t_inv)
+        for d in list(valid_discriminants(-800, 0)) + list(valid_discriminants(5, 800)):
+            for a, b, c in quadforms._classes(d):
+                for form in ((a, b, c), (-a, b, -c)):
+                    for _ in range(rng.randint(0, 6)):
+                        form = rng.choice(steps)(*form)
+                    assert quadforms._wide_canonical(*form, d) == wide_canonical_two_walks(*form), form
