@@ -6,7 +6,9 @@ conductor -f of classgroup goes only with -d. classgroup and rm-conductor
 take a class-number cache (plain text, versioned) with --cache, a checked
 record of the class numbers they print: computed without it, checked against
 its entries and added to it, so no entry can change an answer. A malformed
-cache file, an unwritable cache path or a disagreeing entry is an input error.
+cache file, a file that is not a cache (it is left as it is), an unwritable
+cache path or a disagreeing entry is an input error. count --classical
+counts up to --tmax CLASSICAL_TMAX.
 
 Exit codes: 0 success, 2 input error, 3 search limit exceeded, 4 internal
 invariant violation.
@@ -30,6 +32,7 @@ from .errors import RmarithError, SearchLimitExceeded
 
 CACHE_VERSION = "rmarith-cache 1"
 COUNT_MAX_DIGITS = 100_000  # the longest N(T) that count prints
+CLASSICAL_TMAX = 100_000  # classical_count factors every d <= T
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,8 +59,10 @@ class ClassNumberCache:
                 lines = fh.read().splitlines()
         except OSError:
             return
+        if lines and not lines[0].startswith("rmarith-cache "):
+            raise ValueError(f"{self.path} is not an rmarith cache; it is left as it is")
         if not lines or lines[0] != CACHE_VERSION:
-            return  # unknown version: start a new record
+            return  # empty or another version: start a new record
         for number, line in enumerate(lines[1:], start=2):
             parts = line.split()
             if not parts:
@@ -332,6 +337,8 @@ def cmd_height(args) -> None:
 def cmd_count(args) -> None:
     if args.tmin < 1 or args.tmax < args.tmin:
         raise ValueError("need 1 <= tmin <= tmax")
+    if args.classical and args.tmax > CLASSICAL_TMAX:
+        raise ValueError(f"--classical counts up to --tmax {CLASSICAL_TMAX}, got {args.tmax}")
     # N(T) < 2^((n + 1)(b + 1)) for T < 2^b, in both modes
     digits = int((args.n + 1) * (args.tmax.bit_length() + 1) * log10(2)) + 1
     if digits > COUNT_MAX_DIGITS:
@@ -411,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=int, default=16)
     p.add_argument("--tmax", type=int, default=256)
     p.add_argument("--classical", action="store_true",
-                   help="classical height instead of quantum height")
+                   help="classical height instead of quantum height "
+                   f"(--tmax at most {CLASSICAL_TMAX})")
     return parser
 
 

@@ -77,10 +77,3 @@ def kronecker(a: int, p: int) -> int:
         return 0
     return 1 if r == 1 else -1
 
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending. n must be nonzero."""
-    out = [1]
-    for p, e in factorization(n):
-        out += [q * p**k for k in range(1, e + 1) for q in out]
-    return sorted(out)

@@ -7,7 +7,8 @@ of its associated binary quadratic form (the order containing Z[root of p])
 and the wide class of the primitive part (`quadforms._wide_canonical`), so
 two matrices are GL(2,Z)-conjugate exactly when their keys agree. The
 classifier lists every matrix with characteristic polynomial p inside an
-entry bound and groups them by key.
+entry bound, scanning a12 over 1..bound for each diagonal, and groups them
+by key.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd, prod
 from . import quadforms
 from .contfrac import QuadraticIrrational
 from .errors import BoundTooSmall, NotPrimitive, ReducibleCharPoly
-from .intmath import divisors, is_square
+from .intmath import is_square
 from .quadforms import ClassGroupStructure
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -159,17 +160,11 @@ def _matrices_with_charpoly(p: tuple[int, ...], bound: int) -> list[Matrix]:
         target = a11 * a22 - det  # = a12 * a21, nonzero for irreducible p
         if target == 0:
             continue
-        for d in divisors(target):
-            if d > bound:
+        for a12 in range(1, bound + 1):
+            if target % a12 or abs(target) // a12 > bound:
                 continue
-            other = abs(target) // d
-            if other > bound:
-                continue
-            for a12, a21 in (
-                (d, target // d),
-                (-d, -(target // d)),
-            ):
-                out.append(((a11, a12), (a21, a22)))
+            a21 = target // a12
+            out += [((a11, a12), (a21, a22)), ((a11, -a12), (-a21, a22))]
     return sorted(set(out))
 
 

@@ -8,6 +8,8 @@ onto rho-cycles, and each cycle is one proper class.
 Each class is named once: `_classes(d)` maps every reduced form to the least
 form of its class, one rho-walk per cycle, and the class-group code reads
 names from it; a wide class joins the classes of (a, b, c) and (-a, b, -c).
+Its reduced forms, of either sign, come from one scan of divisor pairs of
+|d - b^2|/4 up to their square root; nothing is factored.
 
 `class_number` validates D and splits it as f^2 * d_K once; the unchecked
 kernel `_class_numbers(d_K, f)` does the rest. A field's class numbers come
@@ -32,7 +34,6 @@ from .errors import (
     SquareDiscriminant,
 )
 from .intmath import (
-    divisors,
     factorization,
     is_square,
     kronecker,
@@ -287,35 +288,32 @@ def canonical_representative(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
 def _classes(d: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
     """Map each reduced primitive form of discriminant d to the least form of
     its proper class (unchecked): itself for d < 0, the least on its rho-cycle
-    for d > 0, each cycle walked once."""
-    if d < 0:
-        names = {}
-        for a in range(1, isqrt(-d // 3) + 1):
-            for b in range(-a, a + 1):
-                if (b - d) % 2:
-                    continue
-                if (b * b - d) % (4 * a):
-                    continue
-                c = (b * b - d) // (4 * a)
-                if c < a:
-                    continue
-                if b < 0 and (b == -a or a == c):
-                    continue
-                if gcd(gcd(a, abs(b)), c) == 1:
-                    names[a, b, c] = (a, b, c)
-        return names
+    for d > 0, each cycle walked once.
 
-    s = isqrt(d)
+    A reduced form has 4|ac| = |d - b^2| = 4n with 0 <= b <= isqrt(|d|), and
+    the lesser of |a|, |c| is at most isqrt(n): for d < 0 since |b| <= a <= c,
+    for d > 0 since both lie in the window s - b < 2|x| <= s + b, s = isqrt(d)
+    (Cohen, A Course in Computational Algebraic Number Theory, 5.3 and 5.6).
+    So one scan of divisor pairs (a, n/a), a <= isqrt(n), finds every one.
+    """
+    s = isqrt(abs(d))
     reduced = set()
-    for b in range(1 + (d - 1) % 2, s + 1, 2):
-        n = (d - b * b) // 4
-        for a in divisors(n):
-            if 2 * a + b <= s or 2 * a - b > s:
+    for b in range(d % 2, s + 1, 2):
+        n = abs(d - b * b) // 4
+        for a in range(max(b, 1) if d < 0 else (s - b) // 2 + 1, isqrt(n) + 1):
+            if n % a:
                 continue
             c = n // a
-            if gcd(gcd(a, b), c) == 1:
-                reduced.add((a, b, -c))
-                reduced.add((-a, b, c))
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            if d < 0:
+                reduced.add((a, b, c))
+                if 0 < b < a < c:
+                    reduced.add((a, -b, c))
+            elif 2 * c - b <= s:
+                reduced.update(((a, b, -c), (-a, b, c), (c, b, -a), (-c, b, a)))
+    if d < 0:
+        return {g: g for g in reduced}
     names = {}
     for form in sorted(reduced):
         if form in names:

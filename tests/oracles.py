@@ -1,10 +1,11 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code path with the
-implementations under test: SL(2,Z) word search for reduction, a searched
-concordant pair for composition, direct product-group enumeration for
-structures, the norm -1 twist and the unit-norm rule for wide classes, two
-cycle walks for a wide-class name, scanning Pell solvers, a
+implementations under test: SL(2,Z) word search for reduction, raw (a, b)
+scans for the reduced forms of either sign, a searched concordant pair for
+composition, direct product-group enumeration for structures, the norm -1
+twist and the unit-norm rule for wide classes, two cycle walks for a
+wide-class name, scanning Pell solvers, a
 one-power-at-a-time unit-index loop, trial division by every integer, a
 plain fold of continued-fraction matrices, continued-fraction periods found
 by remembering every state, Stern-Brocot walks for the question-mark
@@ -135,6 +136,21 @@ def enumerate_definite_oracle(d):
             if not is_reduced_definite(a, b, c):
                 continue
             if gcd(gcd(a, abs(b)), c) == 1:
+                out.append((a, b, c))
+    return sorted(out)
+
+
+def enumerate_indefinite_oracle(d):
+    """Reduced primitive indefinite forms by a raw scan of 1 <= |a| <= isqrt(d)
+    and 0 < b <= isqrt(d), c solved from d."""
+    s = isqrt(d)
+    out = []
+    for a in range(-s, s + 1):
+        for b in range(1, s + 1):
+            if a == 0 or (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            if is_reduced_indefinite(a, b, c, d) and gcd(gcd(abs(a), b), abs(c)) == 1:
                 out.append((a, b, c))
     return sorted(out)
 
@@ -277,13 +293,6 @@ def factorization_by_every_divisor(n):
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def divisors_by_scan(n):
-    """Positive divisors of |n| by testing every d up to its square root."""
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def expand_by_state_repetition(p, q, d):

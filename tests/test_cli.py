@@ -369,6 +369,19 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == "error: N(T) may have 2408242 digits, over 100000: lower -n or --tmax\n"
 
+    def test_classical_tmax_refused_before_counting(self, capsys, monkeypatch):
+        def never(n, t):
+            raise AssertionError("counted although --tmax is over the bound")
+
+        monkeypatch.setattr(cli.heights, "classical_count", never)
+        assert cli.main(["count", "-n", "1", "--tmin", "2", "--tmax", "100000000", "--classical"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --classical counts up to --tmax 100000, got 100000000\n"
+        monkeypatch.setattr(cli.heights, "classical_count", lambda n, t: t)
+        argv = ["count", "--tmin", "2", "--tmax", str(cli.CLASSICAL_TMAX), "--classical"]
+        assert run_cli(argv, capsys)[0] == 0
+
     def test_answer_size_limit_is_exact(self, capsys, monkeypatch):
         # at --tmax 4 the bound is (n + 1) * 4 bits: n = 83047 is the largest
         # n whose bound stays within COUNT_MAX_DIGITS
@@ -421,6 +434,23 @@ class TestCacheAndRoundTrip:
         )
         assert data["h"] == 3  # poisoned entry ignored
         assert cache.read_text().splitlines()[0] == cli.CACHE_VERSION
+
+    @pytest.mark.parametrize("text", ["important notes\n", "\n-23 3 3\n", "rmarith-cache\n"])
+    def test_foreign_file_left_as_it_is(self, text, tmp_path, capsys):
+        notes = tmp_path / "notes.txt"
+        notes.write_text(text)
+        code = cli.main(["classgroup", "-D", "-23", "--cache", str(notes)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {notes} is not an rmarith cache; it is left as it is\n"
+        assert notes.read_text() == text
+
+    def test_empty_file_starts_a_record(self, tmp_path, capsys):
+        cache = tmp_path / "empty.cache"
+        cache.write_text("")
+        run_json(["classgroup", "-D", "-23", "--json", "--cache", str(cache)], capsys)
+        assert cache.read_text() == f"{cli.CACHE_VERSION}\n-23 3 3\n"
 
     def test_cache_entries_sorted(self, tmp_path, capsys):
         cache = tmp_path / "sorted.cache"

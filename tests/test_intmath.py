@@ -2,30 +2,20 @@ import random
 
 import pytest
 
-from rmarith.intmath import divisors, factorization, prime_factors, squarefree_core
+from rmarith.intmath import factorization, prime_factors, squarefree_core
 
-from oracles import divisors_by_scan, factorization_by_every_divisor
+from oracles import factorization_by_every_divisor
 
 
-def check_against_oracle(n, expected_divisors=None):
+def check_against_oracle(n):
     expected = factorization_by_every_divisor(n)
     assert factorization(n) == expected, n
     assert prime_factors(n) == tuple(p for p, _ in expected), n
-    got = divisors(n)
-    if expected_divisors is not None:
-        assert got == expected_divisors, n
-    else:
-        # strictly ascending divisors of n, as many as n has
-        count = 1
-        for _, e in expected:
-            count *= e + 1
-        assert len(got) == count and all(x < y for x, y in zip(got, got[1:])), n
-        assert all(n % x == 0 for x in got), n
 
 
 def test_every_n_below_20000():
     for n in range(1, 20000):
-        check_against_oracle(n, divisors_by_scan(n))
+        check_against_oracle(n)
 
 
 def test_seeded_n_up_to_1e10():
@@ -39,9 +29,7 @@ def test_negative_n():
     for n in list(range(1, 300)) + [rng.randint(1, 10**10) for _ in range(50)]:
         assert factorization(-n) == factorization(n)
         assert prime_factors(-n) == prime_factors(n)
-        assert divisors(-n) == divisors(n)
-    check_against_oracle(-360, [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36, 40, 45,
-                                60, 72, 90, 120, 180, 360])
+    check_against_oracle(-360)
 
 
 def test_squarefree_core():

@@ -24,7 +24,7 @@ from rmarith import (
     split_discriminant,
     two_part_decomposition,
 )
-from rmarith import quadforms
+from rmarith import intmath, latimer, quadforms
 from rmarith.intmath import factorization
 from rmarith.quadforms import _cycle, validate_discriminant
 
@@ -35,6 +35,7 @@ from oracles import (
     composition_table,
     concordant_compose,
     enumerate_definite_oracle,
+    enumerate_indefinite_oracle,
     is_reduced_definite,
     is_reduced_indefinite,
     order_multiset_for_divisors,
@@ -112,9 +113,24 @@ class TestEnumerate:
         assert forms == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
 
     def test_definite_matches_oracle(self):
-        for d in valid_discriminants(-300, 0):
-            got = [(g.a, g.b, g.c) for g in enumerate_reduced_forms(d)]
-            assert sorted(got) == enumerate_definite_oracle(d), d
+        for d in valid_discriminants(-3000, 0):
+            assert sorted(quadforms._classes(d)) == enumerate_definite_oracle(d), d
+
+    def test_indefinite_reduced_set_matches_oracle(self):
+        for d in valid_discriminants(1, 3000):
+            assert sorted(quadforms._classes(d)) == enumerate_indefinite_oracle(d), d
+
+    def test_no_trial_division(self, monkeypatch):
+        # the reduced forms and the bounded matrices come from divisor-pair
+        # scans up to a square root, not from factoring
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(intmath, "factorization", refuse)
+        monkeypatch.setattr(quadforms, "factorization", refuse)
+        for d in (-3999971, -23, 5, 2042040):
+            assert quadforms._classes(d)
+        assert latimer._matrices_with_charpoly((1, -1, -1), 12)
 
     def test_indefinite_one_cycle_for_8(self):
         assert len(enumerate_reduced_forms(8)) == 1
@@ -154,8 +170,9 @@ class TestClassNumber:
         assert class_number(d, flavor) == value
 
     def test_narrow_equals_enumeration_dual_route(self):
-        # conductor-formula route must agree with the form-enumeration oracle,
-        # including non-maximal orders (f > 1) of both signs
+        # for f > 1 the conductor formula must agree with the form
+        # enumeration, for both signs; for f = 1 both sides are the same
+        # enumeration, which the oracle tests of TestEnumerate check
         for d in valid_discriminants(-800, 0):
             assert class_number(d, "narrow") == len(enumerate_reduced_forms(d)), d
         for d in valid_discriminants(5, 800):
