@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -368,6 +369,7 @@ def cmd_count(args) -> None:
 # Wiring
 
 
+@functools.lru_cache(maxsize=1)  # argparse set-up outweighs a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmarith",

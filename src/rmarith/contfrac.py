@@ -4,8 +4,11 @@ Everything here is exact: quadratic irrationals are (P + sqrt(D))/Q triples
 of integers, expansions run on the (P, Q) state recurrence (never on floats),
 and the period starts at the first reduced complete quotient and ends when
 that state returns (Galois), which Lagrange's theorem guarantees to happen.
-The same machinery yields fundamental units of real quadratic orders,
-Effros-Shen block sequences and tail equivalence of expansions.
+The recurrence is run without dividing by Q, so each step costs time linear
+in the size of D. The same machinery yields fundamental units of real
+quadratic orders (from half a period, since the cycle of the order's
+generator is a palindrome plus one term), Effros-Shen block sequences and
+tail equivalence of expansions.
 """
 
 from __future__ import annotations
@@ -266,24 +269,33 @@ def _expand_states(value: QuadraticIrrational) -> tuple[list[int], int, tuple[in
     the period starts at the first reduced complete quotient (P + sqrt(d))/Q,
     the state with Q > 0, P <= s and s - P < Q <= s + P (s = isqrt(d)), and
     closes when that state comes back.
+
+    The step never divides d - P^2: it keeps the previous Q and updates
+    Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), which follows from
+    Q_{k-1} Q_k = d - P_k^2 and P_k + P_{k+1} = a_k Q_k (Cohen, section 5.7).
+    A step then costs one small-quotient division and small-by-big products,
+    linear in the size of d. The invariant is checked once, at the close.
     """
     p, q, d = value.p, value.q, value.d
     s = isqrt(d)
+    q_prev = (d - p * p) // q  # exact: QuadraticIrrational makes q divide it
     terms: list[int] = []
     while not (0 < q <= s + p and p <= s and s - p < q):
         a = (p + s) // q if q > 0 else -((p + s) // -q) - 1
         terms.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
+        p, p_old = a * q - p, p
+        q, q_prev = q_prev + a * (p_old - p), q
     start = len(terms)
-    first = (p, q)
+    p0, q0 = p, q
     while True:
         a = (p + s) // q  # q > 0 on the cycle
         terms.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
-        if (p, q) == first:
-            return terms, start, first
+        p, p_old = a * q - p, p
+        q, q_prev = q_prev + a * (p_old - p), q
+        if p == p0 and q == q0:
+            if d - p * p != q * q_prev:
+                raise AssertionError("(P, Q) recurrence lost its invariant")
+            return terms, start, (p0, q0)
 
 
 def cf_expand(x: Union[QuadraticIrrational, Rational]) -> ContinuedFraction:
@@ -383,27 +395,70 @@ def _validate_real_discriminant(d: int) -> None:
         raise InvalidDiscriminant(f"{d} is not a positive non-square discriminant")
 
 
-def _omega(d: int) -> QuadraticIrrational:
-    # Standard generator (sigma + sqrt(d))/2 of the order of discriminant d.
-    return QuadraticIrrational(d % 2, 2, d)
+def _half_period(d: int) -> tuple[int, int, list[int], int, int, int]:
+    """Walk the cycle of omega = (sigma + sqrt(d))/2 only to its centre.
+
+    The period from the first reduced state (P_0, Q_0) is
+    (c_0, ..., c_{L-2}, t) with t = 2 a_0 - sigma and c_0 ... c_{L-2} a
+    palindrome. Returns (P_0, Q_0, v, centre, t, L): the palindrome is
+    v c v^R when centre is a term c, and v v^R when centre is 0. Walking state
+    k to k + 1 on the cycle, the centre shows as the first repeat: state 0
+    again means L = 1, P_{k+1} = P_k means L = 2k + 2 with centre c_k, and
+    Q_{k+1} = Q_k means L = 2k + 3. The step is the division-free one of
+    ``_expand_states``.
+    """
+    sigma = d % 2
+    s = isqrt(d)
+    t = 2 * ((sigma + s) // 2) - sigma
+    p, q_prev = t, 2
+    q = (d - p * p) // 2
+    p0, q0 = p, q
+    v: list[int] = []
+    while True:
+        a = (p + s) // q
+        p_next = a * q - p
+        q_next = q_prev + a * (p - p_next)
+        if p_next == p0 and q_next == q0:
+            centre, length = 0, 1
+            break
+        if p_next == p:
+            centre, length = a, 2 * len(v) + 2
+            break
+        v.append(a)
+        if q_next == q:
+            centre, length = 0, 2 * len(v) + 1
+            break
+        p, q_prev, q = p_next, q, q_next
+    if d - p * p != q * q_prev:
+        raise AssertionError("(P, Q) recurrence lost its invariant")
+    return p0, q0, v, centre, t, length
 
 
 def fundamental_unit(d: int) -> FundamentalUnit:
     """Smallest (x, y) with x, y > 0 and x^2 - d*y^2 = +-4, plus the sign.
 
     (x + y*sqrt(d))/2 is the fundamental unit of the quadratic order of
-    discriminant d. It is read off one traversal of the expansion cycle of
-    the order's standard generator: the cycle's word matrix fixes the first
-    reduced complete quotient, and the fixed-point relation is the unit.
+    discriminant d. The word matrix of the expansion cycle of the order's
+    standard generator fixes the first reduced complete quotient (P_0, Q_0),
+    and that fixed-point relation is the unit. The cycle is a palindrome
+    plus one term t (``_half_period``), so its matrix is
+    W(v) B(c) W(v)^T B(t), with B(a) = [[a, 1], [1, 0]] (B(c) left out when
+    the palindrome has no centre term): half the cycle is walked and
+    multiplied out.
     """
     _validate_real_discriminant(d)
-    terms, start, (ps, qs) = _expand_states(_omega(d))
-    _, _, a21, a22 = _word_matrix(terms[start:])
+    ps, qs, v, centre, t, length = _half_period(d)
+    h11, h12, h21, h22 = _word_matrix(v)
+    g21, g22 = (h21 * centre + h22, h21) if centre else (h21, h22)
+    # bottom row of S = W(v) B(c) W(v)^T, then of S B(t)
+    s21 = g21 * h11 + g22 * h12
+    s22 = g21 * h21 + g22 * h22
+    a21, a22 = s21 * t + s22, s21
     if (2 * a21) % qs:
         raise AssertionError("unit does not lie in the order")
     y = 2 * a21 // qs
     x = y * ps + 2 * a22
-    norm = -1 if (len(terms) - start) % 2 else 1
+    norm = -1 if length % 2 else 1
     if x * x - d * y * y != 4 * norm:
         raise AssertionError("fundamental unit fails its Pell equation")
     return FundamentalUnit(x, y, norm)
@@ -412,9 +467,9 @@ def fundamental_unit(d: int) -> FundamentalUnit:
 def unit_norm(d: int) -> int:
     """Norm (+1 or -1) of the fundamental unit of the order of discriminant d.
 
-    Only the parity of the expansion's cycle length is needed, so this avoids
-    building the (possibly huge) unit itself.
+    Only the parity of the cycle length is needed, and the half walk of
+    ``_half_period`` already gives it, so the unit itself is never built.
     """
     _validate_real_discriminant(d)
-    terms, start, _ = _expand_states(_omega(d))
-    return -1 if (len(terms) - start) % 2 else 1
+    length = _half_period(d)[5]
+    return -1 if length % 2 else 1

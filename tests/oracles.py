@@ -8,7 +8,8 @@ twist and the unit-norm rule for wide classes, two cycle walks for a
 wide-class name, scanning Pell solvers, a
 one-power-at-a-time unit-index loop, trial division by every integer, a
 plain fold of continued-fraction matrices, continued-fraction periods found
-by remembering every state, Stern-Brocot walks for the question-mark
+by remembering every state, fundamental units from the whole expansion
+cycle, Stern-Brocot walks for the question-mark
 function and its inverse on dyadics, point enumerators for classical and
 quantum heights (the reference for the closed-form counts), and a
 conjugation BFS for similarity classes.
@@ -311,6 +312,28 @@ def expand_by_state_repetition(p, q, d):
         p = a * q - p
         q = (d - p * p) // q
     return terms, seen[(p, q)]
+
+
+def unit_by_full_period(d):
+    """Fundamental unit (x, y, norm) of the order of discriminant d from the
+    whole expansion cycle of omega = (sigma + sqrt(d))/2.
+
+    The cycle comes from ``expand_by_state_repetition`` (the dividing
+    recurrence), its matrix from a plain fold; the matrix fixes the first
+    reduced state (P, Q), which gives y = 2 a21 / Q and x = y P + 2 a22.
+    """
+    p, q = d % 2, 2
+    terms, start = expand_by_state_repetition(p, q, d)
+    for a in terms[:start]:
+        p = a * q - p
+        q = (d - p * p) // q
+    period = terms[start:]
+    _, _, a21, a22 = word_matrix_fold(period)
+    y, rest = divmod(2 * a21, q)
+    x = y * p + 2 * a22
+    norm = -1 if len(period) % 2 else 1
+    assert rest == 0 and x * x - d * y * y == 4 * norm, d
+    return x, y, norm
 
 
 def minkowski_stern_brocot(x: Fraction) -> Fraction:

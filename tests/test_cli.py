@@ -541,6 +541,14 @@ class TestExitCodes:
         code, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
 
+    def test_one_parser_serves_every_call(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert run_cli(["count", "--tmin", "0"], capsys)[0] == 2
+        argv = ["count", "--tmax", "64", "--json"]
+        first = run_cli(argv, capsys)
+        assert first[0] == 0 and run_cli(argv, capsys) == first
+        assert run_cli(["--version"], capsys)[0] == 0
+
 
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rmarith import (
     BratteliBlockSequence,
@@ -21,8 +22,16 @@ from rmarith import (
 )
 from rmarith import contfrac
 from rmarith.intmath import is_square
+from rmarith.quadforms import split_discriminant
 
-from oracles import expand_by_state_repetition, pell_smallest, word_matrix_fold
+from oracles import (
+    expand_by_state_repetition,
+    pell_smallest,
+    unit_by_full_period,
+    word_matrix_fold,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
 def random_quadratic_irrational(rng, pmax=50, qmax=50, dmax=1000):
@@ -35,6 +44,10 @@ def random_quadratic_irrational(rng, pmax=50, qmax=50, dmax=1000):
         if q == 0:
             continue
         return QuadraticIrrational(p, q, d)
+
+
+def valid_real_discriminants(lo, hi):
+    return [d for d in range(lo, hi) if d % 4 in (0, 1) and not is_square(d)]
 
 
 class TestQuadraticIrrational:
@@ -118,6 +131,22 @@ class TestExpand:
             terms, start = expand_by_state_repetition(x.p, x.q, x.d)
             assert contfrac._expand_states(x)[:2] == (terms, start), x
             assert cf_expand(x) == ContinuedFraction(tuple(terms[:start]), tuple(terms[start:])), x
+
+    def test_period_matches_state_repetition_oracle_at_large_d(self):
+        # surds from random words, so that d runs to thousands of bits and a
+        # wrong step of the division-free recurrence cannot hide in small numbers
+        rng = random.Random(61)
+        checked = 0
+        while checked < 30:
+            period = tuple(rng.randint(1, 3) for _ in range(rng.randint(200, 800)))
+            pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 40)))
+            x = evaluate(ContinuedFraction((rng.randint(-5, 5),) + pre, period))
+            if x.d.bit_length() < 1000:
+                continue
+            terms, start = expand_by_state_repetition(x.p, x.q, x.d)
+            assert contfrac._expand_states(x)[:2] == (terms, start), x
+            assert cf_expand(x) == ContinuedFraction(tuple(terms[:start]), tuple(terms[start:]))
+            checked += 1
 
     def test_galois_purely_periodic_iff_reduced(self):
         rng = random.Random(29)
@@ -269,11 +298,50 @@ class TestFundamentalUnit:
                 checked += 1
         assert checked > 50
 
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from(valid_real_discriminants(5, 5000)))
+    def test_minimal_by_pell_scan(self, d):
+        unit = fundamental_unit(d)
+        assume(unit.y <= 5000)  # where the scan can reach
+        assert unit == pell_smallest(d, unit.y)
+
     def test_unit_norm_consistency(self):
-        for d in range(5, 300):
-            if d % 4 not in (0, 1) or is_square(d):
-                continue
+        for d in valid_real_discriminants(5, 5000):
             assert unit_norm(d) == fundamental_unit(d).norm
+
+    def test_matches_full_period_oracle(self):
+        for d in valid_real_discriminants(5, 20000):
+            assert fundamental_unit(d) == unit_by_full_period(d), d
+
+    def test_matches_full_period_oracle_off_the_maximal_order(self):
+        rng = random.Random(67)
+        fields = [d for d in valid_real_discriminants(5, 3000) if split_discriminant(d)[1] == 1]
+        for _ in range(200):
+            d = rng.randint(2, 60) ** 2 * rng.choice(fields)
+            assert fundamental_unit(d) == unit_by_full_period(d), d
+
+    def test_half_walk_multiplies_half_the_period(self, monkeypatch):
+        def period_length(d):
+            return len(cf_expand(QuadraticIrrational(d % 2, 2, d)).period)
+
+        rng = random.Random(71)
+        sample = {4 * 1000000007: period_length(4 * 1000000007)}
+        while len(sample) < 20:
+            d = rng.randrange(10**4, 10**6)
+            if d % 4 in (0, 1) and not is_square(d) and (length := period_length(d)) >= 50:
+                sample[d] = length
+        assert {length % 2 for length in sample.values()} == {0, 1}  # both palindrome shapes
+        lengths = []
+
+        def recording(word):
+            lengths.append(len(word))
+            return word_matrix_fold(word)
+
+        monkeypatch.setattr(contfrac, "_word_matrix", recording)
+        for d, period in sample.items():
+            lengths.clear()
+            fundamental_unit(d)
+            assert sum(lengths) <= (period + 1) // 2, (d, period, lengths)
 
     def test_long_period_unit_matches_folded_unit(self, monkeypatch):
         d = 4 * 1000000007
