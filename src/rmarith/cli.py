@@ -152,14 +152,13 @@ def cmd_classgroup(args, cache) -> None:
     else:
         d_k, f = args.fundamental, 1 if args.conductor is None else args.conductor
         d = quadforms.QuadraticOrder(d_k, f).discriminant
-    narrow, wide = quadforms._class_numbers(d_k, f)
+    names = quadforms._classes(d)
+    classes = sorted(set(names.values()))
+    narrow, wide = len(classes), len(quadforms._wide_names(names, d))
     if cache:
         cache.verify(d, narrow, wide)
-    names = quadforms._classes(d)
     structure = quadforms._group_structure(names, d)
-    reps = [quadforms.BinaryQuadraticForm(*g) for g in sorted(set(names.values()))]
-    if structure.h != narrow:
-        raise AssertionError("composition group order disagrees with class number")
+    reps = [quadforms.BinaryQuadraticForm(*g) for g in classes]
     result = {
         "D": d,
         "d_k": d_k,
@@ -184,14 +183,13 @@ def cmd_rm_conductor(args, cache) -> None:
     core = cmrm._normalize_radicand(args.d)
     cm_order = quadforms.QuadraticOrder(quadforms.fundamental_discriminant(-core), args.f)
     cm_disc = cm_order.discriminant
-    cm_narrow, target = quadforms._class_numbers(cm_order.d_k, cm_order.f)
+    cm_narrow, target = next(quadforms._class_numbers(cm_order.d_k, (cm_order.f,)))
     if cache:
         # recorded before the scan, so a search-limit failure still saves it
         cache.verify(cm_disc, cm_narrow, target)
-    f_prime = cmrm.rm_conductor(core, args.f, search_limit=args.limit)
     rm_d_k = quadforms.fundamental_discriminant(core)
+    f_prime, rm_narrow, rm_h = cmrm._scan(rm_d_k, target, args.limit)
     rm_disc = rm_d_k * f_prime * f_prime
-    rm_narrow, rm_h = quadforms._class_numbers(rm_d_k, f_prime)
     if cache:
         cache.verify(rm_disc, rm_narrow, rm_h)
     result = {

@@ -2,9 +2,9 @@
 
 Given an order of conductor f in Q(sqrt(-d)), the matching real order in
 Q(sqrt(d)) has the least conductor f' whose wide class number equals the
-imaginary side's. The scan is exhaustive from f' = 1 and calls the
-class-number kernel on (field discriminant, conductor) pairs directly, so
-nothing is validated or factored again per step.
+imaginary side's. The scan runs from f' = 1 through one pass of the
+class-number kernel, which builds the real field once, and stops at f' = 1
+when the field's class number does not divide the target.
 """
 
 from __future__ import annotations
@@ -57,14 +57,24 @@ def rm_conductor(d: int, f: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> in
     d = _normalize_radicand(d)
     if f < 1:
         raise ValueError("conductor f must be positive")
-    if search_limit < 1:
+    _, target = next(quadforms._class_numbers(fundamental_discriminant(-d), (f,)))
+    return _scan(fundamental_discriminant(d), target, search_limit)[0]
+
+
+def _scan(rm_k: int, target: int, limit: int) -> tuple[int, int, int]:
+    """(f', narrow, wide) of the least f' <= limit whose order in the real field
+    rm_k has wide class number target. Pic(Z + f'*O_K) maps onto Pic(O_K), so
+    h_K divides every order's wide class number: if it does not divide the
+    target, nothing is scanned."""
+    if limit < 1:
         raise ValueError("search limit must be positive")
-    _, target = quadforms._class_numbers(fundamental_discriminant(-d), f)
-    rm_k = fundamental_discriminant(d)
-    for fp in range(1, search_limit + 1):
-        if quadforms._class_numbers(rm_k, fp)[1] == target:
-            return fp
-    raise SearchLimitExceeded(target, search_limit)
+    conductors = range(1, limit + 1)
+    for fp, (narrow, wide) in zip(conductors, quadforms._class_numbers(rm_k, conductors)):
+        if wide == target:
+            return fp, narrow, wide
+        if fp == 1 and target % wide:
+            break
+    raise SearchLimitExceeded(target, limit)
 
 
 def rm_triple(

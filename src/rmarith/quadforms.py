@@ -12,17 +12,16 @@ Its reduced forms, of either sign, come from one scan of divisor pairs of
 |d - b^2|/4 up to their square root; nothing is factored.
 
 `class_number` validates D and splits it as f^2 * d_K once; the unchecked
-kernel `_class_numbers(d_K, f)` does the rest. A field's class numbers come
-from the class map, memoised for the last 64 fields; a non-maximal order
-goes through the classical conductor formula (with the unit index computed
-from the fundamental unit), which the form-enumeration route cross-checks
-in the test suite. No memo grows with the number of discriminants asked.
+kernel `_class_numbers(d_K, conductors)` does the rest, building the field
+once per call: its class map, and its unit when a conductor above 1 needs it.
+A non-maximal order goes through the classical conductor formula (the unit
+index computed from that unit), which the form-enumeration route
+cross-checks in the test suite. Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from .contfrac import FundamentalUnit, fundamental_unit
@@ -87,7 +86,6 @@ class QuadraticOrder:
     def __post_init__(self):
         if self.f < 1:
             raise ValueError("conductor must be positive")
-        validate_discriminant(self.d_k)
         if split_discriminant(self.d_k)[1] != 1:
             raise InvalidDiscriminant(f"{self.d_k} is not fundamental")
 
@@ -343,14 +341,7 @@ def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
 # Class numbers
 
 
-@lru_cache(maxsize=64)
-def _field_unit(d_k: int) -> FundamentalUnit:
-    """Fundamental unit of the real field d_k, memoised: a scan builds it once."""
-    return fundamental_unit(d_k)
-
-
-@lru_cache(maxsize=4096)
-def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
+def _prime_power_unit_index(d_k: int, unit: FundamentalUnit, p: int, e: int) -> int:
     """[O_K^* : (Z + p^e*O_K)^*]: the order of eps in (O_K/p^e)^*/(Z/p^e)^*.
 
     That group has order n = p^(e-1)*(p - (d_k/p)), so eps^n lies in the
@@ -359,7 +350,7 @@ def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
     fixes eps^k modulo 2p^e*O_K, so the unit's size never matters. Writing
     eps^k = (x + y*sqrt(d_k))/2, it lies in Z + p^e*O_K exactly when p^e | y.
     """
-    x1, y1, _ = _field_unit(d_k)
+    x1, y1, _ = unit
     q = p**e
     m = 4 * q
 
@@ -383,35 +374,34 @@ def _prime_power_unit_index(d_k: int, p: int, e: int) -> int:
     return n
 
 
-@lru_cache(maxsize=64)
-def _field_class_numbers(d_k: int) -> tuple[int, int]:
-    """(narrow, wide) class numbers of the maximal order of d_k, memoised."""
+def _class_numbers(d_k: int, conductors):
+    """Yield (narrow, wide) class numbers of Z + f*O_K for each f in conductors,
+    d_k fundamental (unchecked). The field's classes are named once; its unit
+    is found once, when first needed, and each prime-power unit index once."""
     names = _classes(d_k)
-    return len(set(names.values())), len(_wide_names(names, d_k))
-
-
-def _class_numbers(d_k: int, f: int) -> tuple[int, int]:
-    """(narrow, wide) class numbers of Z + f*O_K, d_k fundamental (unchecked)."""
-    if f == 1:
-        return _field_class_numbers(d_k)
-    _, wide_k = _field_class_numbers(d_k)
-    # index = [O_K^* : O_f^*]. For d_k > 0, Z + f*O_K is the intersection of
-    # the orders Z + p^e*O_K over p^e exactly dividing f (CRT), so the index
-    # is the lcm of theirs.
-    index = {(-3): 3, (-4): 2}.get(d_k, 1)
-    h = wide_k
-    for p, e in factorization(f):
-        h *= p ** (e - 1) * (p - kronecker(d_k, p))
-        if d_k > 0:
-            index = lcm(index, _prime_power_unit_index(d_k, p, e))
-    if h % index:
-        raise AssertionError(f"conductor formula not integral at D={d_k * f * f}")
-    wide = h // index
-    if d_k < 0:
-        return wide, wide
-    norm_f = _field_unit(d_k).norm if index % 2 else 1
-    narrow = wide if norm_f == -1 else 2 * wide
-    return narrow, wide
+    narrow_k, wide_k = len(set(names.values())), len(_wide_names(names, d_k))
+    unit = None
+    indices = {}
+    for f in conductors:
+        if f == 1:
+            yield narrow_k, wide_k
+            continue
+        # index = [O_K^* : O_f^*]. For d_k > 0, Z + f*O_K is the intersection
+        # of the orders Z + p^e*O_K over p^e exactly dividing f (CRT), so the
+        # index is the lcm of theirs.
+        index = {(-3): 3, (-4): 2}.get(d_k, 1)
+        h = wide_k
+        for p, e in factorization(f):
+            h *= p ** (e - 1) * (p - kronecker(d_k, p))
+            if d_k > 0:
+                if (p, e) not in indices:
+                    unit = unit or fundamental_unit(d_k)
+                    indices[p, e] = _prime_power_unit_index(d_k, unit, p, e)
+                index = lcm(index, indices[p, e])
+        if h % index:
+            raise AssertionError(f"conductor formula not integral at D={d_k * f * f}")
+        wide = h // index
+        yield (wide if d_k < 0 or (index % 2 and unit.norm == -1) else 2 * wide), wide
 
 
 def class_number(d: int, flavor: str = "wide") -> int:
@@ -423,7 +413,8 @@ def class_number(d: int, flavor: str = "wide") -> int:
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError(f"flavor must be 'narrow' or 'wide', got {flavor!r}")
-    narrow, wide = _class_numbers(*split_discriminant(d))
+    d_k, f = split_discriminant(d)
+    narrow, wide = next(_class_numbers(d_k, (f,)))
     return narrow if flavor == "narrow" else wide
 
 

@@ -286,13 +286,13 @@ def test_criterion_10_cli_golden_suite(tmp_path, capsys):
 
         # documented exit codes all observed: 0, 2, 3 above; 4 is the
         # internal-invariant guard, driven here through a broken hook
-        original = cli.quadforms._class_numbers
-        cli.quadforms._class_numbers = lambda *a, **k: (_ for _ in ()).throw(
+        original = cli.quadforms._group_structure
+        cli.quadforms._group_structure = lambda *a, **k: (_ for _ in ()).throw(
             AssertionError("forced")
         )
         try:
             code = cli.main(["classgroup", "-D", "-23"])
         finally:
-            cli.quadforms._class_numbers = original
+            cli.quadforms._group_structure = original
         capsys.readouterr()
         assert code == 4

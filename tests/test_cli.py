@@ -145,8 +145,8 @@ class TestClassgroup:
         assert run_cli(["classgroup", *argv], capsys) == (0, GOLDEN[argv])
 
     def test_one_enumeration_per_discriminant(self, capsys, monkeypatch):
-        # the field memo may enumerate a fundamental D once more; the group
-        # structure is read off the class map of the forms the command prints
+        # class numbers, structure and representatives are all read off the
+        # class map of D itself; the field of a non-fundamental D is not enumerated
         real = quadforms._classes
         calls = Counter()
 
@@ -155,12 +155,12 @@ class TestClassgroup:
             return real(d)
 
         monkeypatch.setattr(quadforms, "_classes", counted)
-        quadforms._field_class_numbers.cache_clear()
-        for argv, d, most in ((["-D", "-23"], -23, 2), (["-D", "60"], 60, 2),
-                              (["-d", "5", "-f", "8"], 320, 1), (["-D", "-92"], -92, 1)):
+        for argv, d in ((["-D", "-23"], -23), (["-D", "60"], 60), (["-D", "-92"], -92),
+                        (["-d", "5", "-f", "8"], 320), (["-D", "-3999971"], -3999971),
+                        (["-D", "4000001"], 4000001)):
             calls.clear()
             assert run_cli(["classgroup", *argv], capsys)[0] == 0
-            assert 1 <= calls[d] <= most, (argv, calls)
+            assert calls == Counter({d: 1}), (argv, calls)
 
     def test_json_golden(self, capsys):
         data = run_json(["classgroup", "-D", "-23", "--json"], capsys)
@@ -229,14 +229,43 @@ class TestRmConductor:
         assert data["cm_class_number"] == 2
 
     def test_limit_exit_3(self, capsys):
-        code, _ = run_cli(["rm-conductor", "-d", "5", "-f", "1", "--limit", "3"], capsys)
-        assert code == 3
+        # h(Q(sqrt(79))) = 3 does not divide h(Q(sqrt(-79))) = 5: refused unscanned
+        for argv, target in ((["-d", "5", "-f", "1", "--limit", "3"], 2),
+                             (["-d", "79", "--limit", "10000"], 5)):
+            assert cli.main(["rm-conductor", *argv]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: no conductor f' in 1..{argv[-1]} reaches class number {target}\n")
 
     def test_negative_limit_exit_2(self, capsys):
         # no search runs, so this is an input error, not exit 3
         assert cli.main(["rm-conductor", "-d", "5", "-f", "1", "--limit", "-5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_one_enumeration_per_field(self, capsys, monkeypatch):
+        # the scan reports the real side's class numbers: nothing is asked twice
+        real_classes, real_unit = quadforms._classes, quadforms.fundamental_unit
+        calls, units = Counter(), Counter()
+
+        def counted_classes(d):
+            calls[d] += 1
+            return real_classes(d)
+
+        def counted_unit(d):
+            units[d] += 1
+            return real_unit(d)
+
+        monkeypatch.setattr(quadforms, "_classes", counted_classes)
+        monkeypatch.setattr(quadforms, "fundamental_unit", counted_unit)
+        for d, f, cm_d, rm_d, unit_calls in ((2, 1, -8, 8, 0), (5, 1, -20, 5, 1),
+                                             (9967, 4, -9967, 39868, 1)):
+            calls.clear()
+            units.clear()
+            assert run_cli(["rm-conductor", "-d", str(d), "-f", str(f)], capsys)[0] == 0
+            assert calls == Counter({cm_d: 1, rm_d: 1}), (d, calls)
+            assert sum(units.values()) == unit_calls, (d, units)
 
 
 class TestCf:
@@ -526,10 +555,10 @@ class TestCacheAndRoundTrip:
 
 class TestExitCodes:
     def test_internal_invariant_exit_4(self, capsys, monkeypatch):
-        def broken(d_k, f):
+        def broken(names, d):
             raise AssertionError("forced internal failure")
 
-        monkeypatch.setattr(cli.quadforms, "_class_numbers", broken)
+        monkeypatch.setattr(cli.quadforms, "_group_structure", broken)
         code, _ = run_cli(["classgroup", "-D", "-23"], capsys)
         assert code == 4
 

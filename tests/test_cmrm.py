@@ -80,12 +80,28 @@ class TestConductorMap:
 
         for module, name in ((quadforms, "fundamental_unit"), (contfrac, "unit_norm")):
             monkeypatch.setattr(module, name, counted(module, name))
-        for memo in (quadforms._field_class_numbers, quadforms._field_unit,
-                     quadforms._prime_power_unit_index):
-            memo.cache_clear()
         assert rm_conductor(9967, 4) == 389
         d_k = fundamental_discriminant(9967)
         assert calls == {"fundamental_unit": [d_k], "unit_norm": []}
+
+    def test_unreachable_target_scans_nothing(self, monkeypatch):
+        # h_K divides the wide class number of every order of the real field,
+        # so when it does not divide the target no conductor step is taken
+        real_factorization = quadforms.factorization
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return real_factorization(n)
+
+        monkeypatch.setattr(quadforms, "factorization", counted)
+        for d in (79, 142, 223, 229, 235, 254, 257, 321, 326, 346, 359):
+            with pytest.raises(SearchLimitExceeded) as info:
+                rm_conductor(d, 1, search_limit=10**4)
+            target = class_number(fundamental_discriminant(-d), "wide")
+            assert (info.value.target, info.value.limit) == (target, 10**4)
+            assert target % class_number(fundamental_discriminant(d), "wide"), d
+        assert calls == []
 
 
 class TestRMTriple:

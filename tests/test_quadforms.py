@@ -20,6 +20,7 @@ from rmarith import (
     class_representatives,
     compose,
     enumerate_reduced_forms,
+    fundamental_unit,
     reduce_form,
     split_discriminant,
     two_part_decomposition,
@@ -186,9 +187,11 @@ class TestClassNumber:
         for d_k in valid_discriminants(5, 300):
             if split_discriminant(d_k)[1] != 1:
                 continue
+            unit = fundamental_unit(d_k)
             for f in range(1, 81):
                 # the index for f is the lcm of the indices for p^e exactly dividing f
-                parts = [quadforms._prime_power_unit_index(d_k, p, e) for p, e in factorization(f)]
+                parts = [quadforms._prime_power_unit_index(d_k, unit, p, e)
+                         for p, e in factorization(f)]
                 index = lcm(1, *parts)
                 assert index == unit_index_linear(d_k, f), (d_k, f)
 
@@ -201,7 +204,6 @@ class TestClassNumber:
             return real_factorization(n)
 
         monkeypatch.setattr(quadforms, "factorization", counting_factorization)
-        quadforms._field_class_numbers.cache_clear()
         for d_k, f in [(5, 12), (8, 9), (13, 10), (21, 6), (24, 35), (5, 64)]:
             calls.clear()
             class_number(d_k * f * f, "narrow")
