@@ -125,10 +125,6 @@ class ClassGroupStructure:
         object.__setattr__(self, "elementary_divisors", divs)
         object.__setattr__(self, "h", order)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.h == 1
-
 
 def _invariant_factors_of_sum(orders: list[int]) -> tuple[int, ...]:
     """Invariant factors of the direct sum of cyclic groups of these orders."""
@@ -480,36 +476,75 @@ def class_group_structure(d: int) -> ClassGroupStructure:
 def _group_structure(names: dict, d: int) -> ClassGroupStructure:
     """Invariant factors of the class group of d, from its map `_classes(d)` (unchecked).
 
-    Read off element orders one Sylow subgroup at a time. For p^e exactly
-    dividing h the powers g^(h/p^e) run over the p-part G_p, and
-    |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of order >= p^k).
+    One Sylow subgroup at a time (Cohen, A Course in Computational Algebraic
+    Number Theory, 5.4). For p^e exactly dividing h, g -> g^(h/p^e) maps the
+    group onto its p-part G_p. The classes are projected in sorted order; an
+    image y outside the subgroup S built so far extends it coset by coset,
+    S, S*y, S*y^2, ..., until y^k falls back into S, so each element of G_p
+    costs one composition. If one generator fills G_p it is cyclic of order
+    p^e. Otherwise the p-th power map on G_p gives the element orders by
+    lookup, and |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of
+    order >= p^k). The cost is about the sum of p^e over p^e exactly dividing
+    h, plus 2 log2(h) compositions per projected class and, for a non-cyclic
+    G_p, 2 log2(p) per element.
     """
-    reps = set(names.values())
+    reps = sorted(set(names.values()))
     h = len(reps)
     b0 = d % 2
-    identity = names[_reduce(1, b0, (b0 * b0 - d) // 4, d)]
     powers = []
-    for p, e in factorization(h):
-        # orders[k]: elements of G_p of order exactly p^k
-        orders = [0] * (e + 1)
-        for x in {names[_power(g, h // p**e, d)] for g in reps}:
-            for k in range(e + 1):
-                if x == identity:
-                    orders[k] += 1
+    try:
+        identity = names[_reduce(1, b0, (b0 * b0 - d) // 4, d)]
+        for p, e in factorization(h):
+            q = p**e
+            sub, index = [identity], {identity: 0}  # G_p so far, coset by coset
+            gens = 0
+            for g in reps:
+                if len(sub) >= q:
                     break
-                x = names[_power(x, p, d)]
-            else:
-                raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
-        torsion = [sum(orders[: k + 1]) for k in range(e + 1)]
-        ranks = []
-        for k in range(1, e + 1):
-            q, r = torsion[k] // torsion[k - 1], 0
-            while q > 1:
-                q, r = q // p, r + 1
-            ranks.append(r)
-        ranks.append(0)
-        for k in range(1, e + 1):
-            powers += [p**k] * (ranks[k - 1] - ranks[k])
+                y = names[_power(g, h // q, d)]
+                if y in index:
+                    continue
+                gens += 1
+                base, layer, z = len(sub), sub, y
+                while z not in index:  # z = y^k, element 0 of the next layer
+                    layer = [z] + [names[_reduce(*_compose(x, y, d), d)] for x in layer[1:]]
+                    index.update((x, len(sub) + i) for i, x in enumerate(layer))
+                    sub += layer
+                    z = names[_reduce(*_compose(z, y, d), d)]
+                if index[z] >= base:
+                    raise AssertionError(f"a power of {y} fell outside the subgroup it extends")
+            if not len(sub) == len(index) == q:
+                raise AssertionError(
+                    f"the {p}-part has {len(sub)} elements, {len(index)} distinct, not {q}"
+                )
+            if gens == 1:  # y alone generated G_p
+                if names[_power(y, q, d)] != identity:
+                    raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
+                powers.append(q)
+                continue
+            pth = {x: names[_power(x, p, d)] for x in sub}
+            # orders[k]: elements of G_p of order exactly p^k
+            orders = [0] * (e + 1)
+            for x in sub:
+                for k in range(e + 1):
+                    if x == identity:
+                        orders[k] += 1
+                        break
+                    x = pth[x]
+                else:
+                    raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
+            torsion = [sum(orders[: k + 1]) for k in range(e + 1)]
+            ranks = []
+            for k in range(1, e + 1):
+                t, r = torsion[k] // torsion[k - 1], 0
+                while t > 1:
+                    t, r = t // p, r + 1
+                ranks.append(r)
+            ranks.append(0)
+            for k in range(1, e + 1):
+                powers += [p**k] * (ranks[k - 1] - ranks[k])
+    except KeyError as exc:
+        raise AssertionError(f"the class map has no form {exc}") from None
     if prod(powers) != h:
         raise AssertionError("invariant factors do not multiply to the order")
     return ClassGroupStructure(tuple(powers), h)

@@ -3,9 +3,9 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test: SL(2,Z) word search for reduction, raw (a, b)
 scans for the reduced forms of either sign, a searched concordant pair for
-composition, direct product-group enumeration for structures, the norm -1
-twist and the unit-norm rule for wide classes, two cycle walks for a
-wide-class name, scanning Pell solvers, a
+composition, direct product-group enumeration and the powers of every
+class for structures, the norm -1 twist and the unit-norm rule for wide
+classes, two cycle walks for a wide-class name, scanning Pell solvers, a
 one-power-at-a-time unit-index loop, trial division by every integer, a
 plain fold of continued-fraction matrices, continued-fraction periods found
 by remembering every state, fundamental units from the whole expansion
@@ -180,6 +180,46 @@ def composition_table(d):
     reps = enumerate_reduced_forms(d)
     index = {g: i for i, g in enumerate(reps)}
     return reps, [[index[compose(g, k)] for k in reps] for g in reps]
+
+
+def group_structure_by_powers(d):
+    """Invariant factors of the class group of d from the powers of every class.
+
+    For each p^e exactly dividing h, every class is raised to h/p^e, and the
+    order of each distinct image in the p-part G_p is found by repeated p-th
+    powers; |G_p[p^k]| / |G_p[p^(k-1)]| = p^(number of cyclic factors of
+    order >= p^k). Built on the library's class map and composition kernel.
+    """
+    from rmarith.intmath import factorization
+    from rmarith.quadforms import ClassGroupStructure, _classes, _power, _reduce
+
+    names = _classes(d)
+    reps = set(names.values())
+    h = len(reps)
+    b0 = d % 2
+    identity = names[_reduce(1, b0, (b0 * b0 - d) // 4, d)]
+    powers = []
+    for p, e in factorization(h):
+        orders = [0] * (e + 1)  # elements of G_p of order exactly p^k
+        for x in {names[_power(g, h // p**e, d)] for g in reps}:
+            for k in range(e + 1):
+                if x == identity:
+                    orders[k] += 1
+                    break
+                x = names[_power(x, p, d)]
+            else:
+                raise AssertionError(f"an element of the {p}-part has order above {p}^{e}")
+        torsion = [sum(orders[: k + 1]) for k in range(e + 1)]
+        ranks = []
+        for k in range(1, e + 1):
+            q, r = torsion[k] // torsion[k - 1], 0
+            while q > 1:
+                q, r = q // p, r + 1
+            ranks.append(r)
+        ranks.append(0)
+        for k in range(1, e + 1):
+            powers += [p**k] * (ranks[k - 1] - ranks[k])
+    return ClassGroupStructure(tuple(powers), h).elementary_divisors
 
 
 def wide_representatives_by_twist(d):

@@ -37,6 +37,7 @@ from oracles import (
     concordant_compose,
     enumerate_definite_oracle,
     enumerate_indefinite_oracle,
+    group_structure_by_powers,
     is_reduced_definite,
     is_reduced_indefinite,
     order_multiset_for_divisors,
@@ -319,18 +320,66 @@ class TestStructure:
         assert got.elementary_divisors == divisors
         assert got.h == prod(divisors) if divisors else got.h == 1
 
-    def test_compositions_grow_like_h_log_h(self, monkeypatch):
-        real_compose = quadforms._compose
-        calls = 0
+    @pytest.mark.parametrize("d", [-71999, 2042040, -3999971, -3999999])
+    def test_compositions_bounded_by_sylow_orders(self, d, monkeypatch):
+        # at most 2 * (sum over p^e || h of p^e ceil(log2 2p), plus r ceil(log2 h)),
+        # r counting the _power calls to an exponent h/p^e: the projected
+        # classes, and any order check to a prime power equal to one of those
+        names = quadforms._classes(d)
+        h = len(set(names.values()))
+        sylow = factorization(h)
+        projections = {h // p**e for p, e in sylow}
+        real_compose, real_power = quadforms._compose, quadforms._power
+        calls = projected = 0
 
         def counting_compose(f, g, d):
             nonlocal calls
             calls += 1
             return real_compose(f, g, d)
 
+        def counting_power(g, n, d):
+            nonlocal projected
+            projected += n in projections
+            return real_power(g, n, d)
+
         monkeypatch.setattr(quadforms, "_compose", counting_compose)
-        assert class_group_structure(-71999).h == 257
-        assert 0 < calls <= 4 * 257 * 9  # 4 h ceil(log2 h)
+        monkeypatch.setattr(quadforms, "_power", counting_power)
+        assert quadforms._group_structure(names, d).h == h
+        # (n - 1).bit_length() is ceil(log2 n)
+        bound = 2 * (
+            sum(p**e * (2 * p - 1).bit_length() for p, e in sylow)
+            + projected * (h - 1).bit_length()
+        )
+        assert 0 < calls <= bound, (calls, projected, bound)
+        assert projected < h  # projection stops once each Sylow subgroup is full
+
+    def test_matches_powers_of_every_class(self):
+        named = [-84, -3299, 2042040, -3999999]
+        for d in list(valid_discriminants(-2999, 3000)) + named:
+            assert class_group_structure(d).elementary_divisors == group_structure_by_powers(d), d
+
+    @pytest.mark.parametrize(
+        "d,alias,match",
+        [
+            (-23, None, "no form"),
+            (-23, 1, "fell outside"),
+            (-399, None, "elements"),
+            (-400, 0, "elements"),
+            (-395, 2, "order above"),
+            (2042040, None, "no form"),
+            (2042040, 1, "elements"),
+        ],
+    )
+    def test_corrupted_class_map_raises(self, d, alias, match):
+        # the last class leaves the map, or its forms are named as class `alias`
+        names = quadforms._classes(d)
+        reps = sorted(set(names.values()))
+        if alias is None:
+            names = {g: x for g, x in names.items() if x != reps[-1]}
+        else:
+            names = {g: reps[alias] if x == reps[-1] else x for g, x in names.items()}
+        with pytest.raises(AssertionError, match=match):
+            quadforms._group_structure(names, d)
 
     def test_structure_matches_order_multiset_oracle(self):
         for d in list(valid_discriminants(-400, -1)) + list(valid_discriminants(5, 200)):
