@@ -17,22 +17,23 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
-from fractions import Fraction
+from itertools import chain, cycle, islice
 from math import log2, log10
 
-from . import __version__, cmrm, contfrac, heights, latimer, quadforms
-from .contfrac import QuadraticIrrational
+from . import __version__
 from .errors import RmarithError, SearchLimitExceeded
+
+# Each command imports the modules it computes with, and output modules are
+# imported only when asked for, so a command pays start-up only for itself.
 
 CACHE_VERSION = "rmarith-cache 1"
 COUNT_MAX_DIGITS = 100_000  # the longest N(T) that count prints
+CF_MAX_DIGITS = 3_000_000  # the most digits of periodic convergents that cf prints
+CF_MAX_TERM_DIGITS = 20_000  # and the most in one numerator or denominator
 CLASSICAL_TMAX = 100_000  # classical_count factors every d <= T
 
 EXIT_OK = 0
@@ -94,6 +95,8 @@ class ClassNumberCache:
         lines = [CACHE_VERSION]
         lines += [f"{d} {n} {w}" for d, (n, w) in sorted(self.entries.items())]
         payload = "\n".join(lines) + "\n"
+        import tempfile
+
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         tmp = None
         try:
@@ -111,8 +114,12 @@ class ClassNumberCache:
 
 def _emit(args, result: dict, human_lines: list[str], csv_rows: list[list]) -> None:
     if args.json:
+        import json
+
         print(json.dumps(result, sort_keys=True))
     elif args.csv:
+        import csv
+
         writer = csv.writer(sys.stdout)
         for row in csv_rows:
             writer.writerow(row)
@@ -144,6 +151,8 @@ def _long_int_strings():
 
 
 def cmd_classgroup(args, cache) -> None:
+    from . import quadforms
+
     if args.discriminant is not None:
         if args.conductor is not None:
             raise ValueError("-f goes with -d, not with -D")
@@ -180,6 +189,9 @@ def cmd_classgroup(args, cache) -> None:
 
 
 def cmd_rm_conductor(args, cache) -> None:
+    from . import cmrm, quadforms
+
+    limit = cmrm.DEFAULT_SEARCH_LIMIT if args.limit is None else args.limit
     core = cmrm._normalize_radicand(args.d)
     cm_order = quadforms.QuadraticOrder(quadforms.fundamental_discriminant(-core), args.f)
     cm_disc = cm_order.discriminant
@@ -188,7 +200,7 @@ def cmd_rm_conductor(args, cache) -> None:
         # recorded before the scan, so a search-limit failure still saves it
         cache.verify(cm_disc, cm_narrow, target)
     rm_d_k = quadforms.fundamental_discriminant(core)
-    f_prime, rm_narrow, rm_h = cmrm._scan(rm_d_k, target, args.limit)
+    f_prime, rm_narrow, rm_h = cmrm._scan(rm_d_k, target, limit)
     rm_disc = rm_d_k * f_prime * f_prime
     if cache:
         cache.verify(rm_disc, rm_narrow, rm_h)
@@ -218,7 +230,9 @@ def _parse_ints(text: str, expected: int | None = None) -> list[int]:
     return values
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     num, _, den = text.partition("/")
     den = int(den) if den else 1
     if den == 0:
@@ -226,16 +240,37 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), den)
 
 
+def _check_convergent_digits(cf, count: int) -> None:
+    """Refuse --terms before computing a convergent when the output may be too long.
+
+    |p_k| and q_k are at most P_k = prod_{i<=k} (|a_i| + 1), so each has at
+    most log10 P_k + 1 digits. log10 P_k grows by at least log10 2 a term, so
+    the scan stops within a few thousand terms.
+    """
+    log_p = digits = 0.0
+    terms = islice(chain(cf.preperiod, cycle(cf.period)), max(count, 0))
+    for k, a in enumerate(terms):
+        log_p += log10(abs(a) + 1)
+        digits += 2 * (log_p + 1)
+        if digits > CF_MAX_DIGITS or log_p >= CF_MAX_TERM_DIGITS:
+            raise ValueError(
+                f"--terms {count}: the convergents may have over {CF_MAX_DIGITS} digits in all "
+                f"or {CF_MAX_TERM_DIGITS} in one: lower --terms to at most {k}"
+            )
+
+
 def cmd_cf(args) -> None:
+    from . import contfrac
+
     given = [v for v in (args.sqrt, args.surd, args.rational) if v is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --sqrt, --surd, --rational")
     if args.sqrt is not None:
-        value = QuadraticIrrational.sqrt(args.sqrt)
+        value = contfrac.QuadraticIrrational.sqrt(args.sqrt)
         shown = f"sqrt({args.sqrt})"
     elif args.surd is not None:
         p, q, d = _parse_ints(args.surd, 3)
-        value = QuadraticIrrational(p, q, d)
+        value = contfrac.QuadraticIrrational(p, q, d)
         shown = str(value)
     else:
         value = _parse_fraction(args.rational)
@@ -244,28 +279,32 @@ def cmd_cf(args) -> None:
     count = args.terms
     if not cf.is_periodic:
         count = min(count, len(cf.preperiod))
-    convs = contfrac.convergents(cf, count)
+    else:
+        _check_convergent_digits(cf, count)
+    convs = [str(c) for c in contfrac.convergents(cf, count)]
     result = {
         "input": shown,
         "preperiod": list(cf.preperiod),
         "period": list(cf.period),
         "is_rm": flag,
         "expansion": str(cf),
-        "convergents": [str(c) for c in convs],
+        "convergents": convs,
     }
     human = [
         f"value       {shown}",
         f"expansion   {cf}",
         f"real multiplication: {'yes' if flag else 'no (rational)'}",
-        "convergents " + ", ".join(str(c) for c in convs),
+        "convergents " + ", ".join(convs),
     ]
     rows = [["k", "term", "convergent"]] + [
-        [k, t, str(c)] for k, (t, c) in enumerate(zip(cf.terms(count), convs))
+        [k, t, c] for k, (t, c) in enumerate(zip(cf.terms(count), convs))
     ]
     _emit(args, result, human, rows)
 
 
 def cmd_sha(args) -> None:
+    from . import latimer, quadforms
+
     given = [v for v in (args.matrix, args.charpoly) if v is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --matrix, --charpoly")
@@ -308,12 +347,16 @@ def cmd_sha(args) -> None:
 
 def _parse_theta(text: str):
     if "," in text:
+        from .contfrac import QuadraticIrrational
+
         p, q, d = _parse_ints(text, 3)
         return QuadraticIrrational(p, q, d)
     return _parse_fraction(text)
 
 
 def cmd_height(args) -> None:
+    from . import heights
+
     thetas = [_parse_theta(t) for t in args.theta]
     values = [heights.question_mark_mod_1(theta) for theta in thetas]
     h = heights.affine_height(values)
@@ -334,6 +377,8 @@ def cmd_height(args) -> None:
 
 
 def cmd_count(args) -> None:
+    from . import heights
+
     if args.tmin < 1 or args.tmax < args.tmin:
         raise ValueError("need 1 <= tmin <= tmax")
     if args.classical and args.tmax > CLASSICAL_TMAX:
@@ -395,13 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="least real conductor matching an imaginary class number")
     p.add_argument("-d", type=int, required=True, help="positive radicand (squarefree core taken)")
     p.add_argument("-f", type=int, default=1, help="imaginary-side conductor")
-    p.add_argument("--limit", type=int, default=cmrm.DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--limit", type=int)  # default cmrm.DEFAULT_SEARCH_LIMIT, read when used
 
     p = sub.add_parser("cf", parents=[common], help="continued fraction expansion")
     p.add_argument("--sqrt", type=int, metavar="N")
     p.add_argument("--surd", metavar="P,Q,D", help="(P + sqrt(D))/Q")
     p.add_argument("--rational", metavar="N/M")
-    p.add_argument("--terms", type=int, default=8, help="convergents to report")
+    p.add_argument("--terms", type=int, default=8,
+                   help="convergents to report; refused for a periodic expansion when "
+                   f"they may have over {CF_MAX_DIGITS} digits in all or "
+                   f"{CF_MAX_TERM_DIGITS} in one")
 
     p = sub.add_parser("sha", parents=[common],
                        help="Sha group from a 2x2 matrix or its char poly")

@@ -9,18 +9,15 @@ when the field's class number does not divide the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import quadforms
-from .errors import SearchLimitExceeded
+from .errors import Record, SearchLimitExceeded
 from .intmath import squarefree_core
 from .quadforms import BinaryQuadraticForm, QuadraticOrder, fundamental_discriminant
 
 DEFAULT_SEARCH_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class RMTriple:
+class RMTriple(Record):
     """An order in a real quadratic field with its ideal class representatives."""
 
     order: QuadraticOrder

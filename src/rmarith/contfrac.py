@@ -13,7 +13,6 @@ tail equivalence of expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Union
@@ -22,14 +21,14 @@ from .errors import (
     CountExceedsFiniteExpansion,
     InvalidDiscriminant,
     NotEventuallyPeriodic,
+    Record,
 )
 from .intmath import is_square
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(Record):
     """The real number (p + sqrt(d))/q with d > 0 not a perfect square.
 
     On construction the triple is canonicalized so that q divides d - p*p
@@ -151,8 +150,7 @@ class QuadraticIrrational:
         return self.compare(1) > 0 and conj.compare(-1) > 0 and conj.compare(0) < 0
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """A continued fraction [a0, a1, ...] with an optional repeating tail.
 
     ``preperiod`` holds the leading terms (first may be any integer, the rest
@@ -215,8 +213,7 @@ class ContinuedFraction:
         return f"[{pre};({per})]"
 
 
-@dataclass(frozen=True)
-class BratteliBlockSequence:
+class BratteliBlockSequence(Record):
     """Incidence blocks of the stationary-tail diagram of an expansion."""
 
     blocks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]

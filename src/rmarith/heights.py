@@ -11,7 +11,6 @@ heights and the dyadic grid for quantum heights; no point is listed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
@@ -19,15 +18,14 @@ from math import gcd, lcm, log2
 from typing import Optional, Sequence, Union
 
 from .contfrac import QuadraticIrrational, _word_matrix, cf_expand
-from .errors import OutOfDomain
+from .errors import OutOfDomain, Record
 from .intmath import factorization
 
 Rational = Union[int, Fraction]
 Coordinate = Union[int, Fraction, QuadraticIrrational]
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """Integer coordinates, canonical: gcd 1, first nonzero coordinate positive."""
 
     coordinates: tuple[int, ...]
@@ -57,8 +55,7 @@ class GrowthRegime(Enum):
     BOUNDED = "Bounded"
 
 
-@dataclass(frozen=True)
-class VarietyProfile:
+class VarietyProfile(Record):
     """Topological profile steering the point-counting regime.
 
     ``betti`` lists beta_0 .. beta_2n. ``m`` (complex moduli dimension) is

@@ -13,20 +13,18 @@ by key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from . import quadforms
 from .contfrac import QuadraticIrrational
-from .errors import BoundTooSmall, NotPrimitive, ReducibleCharPoly
+from .errors import BoundTooSmall, NotPrimitive, Record, ReducibleCharPoly
 from .intmath import is_square
 from .quadforms import ClassGroupStructure
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     entries: Matrix
 
     def __post_init__(self):
@@ -118,8 +116,7 @@ def perron_eigenvalue(b: IntegerMatrix) -> QuadraticIrrational:
 # Similarity classes
 
 
-@dataclass(frozen=True)
-class SimilarityClassification:
+class SimilarityClassification(Record):
     """GL(2,Z)-conjugacy classes found among bounded-entry matrices.
 
     ``classes`` lists every enumerated matrix grouped by class;
@@ -237,8 +234,7 @@ def classify(
 # Sha
 
 
-@dataclass(frozen=True)
-class ShaReport:
+class ShaReport(Record):
     """Theorem-shaped Sha data: 2-part exponent, class group, final group."""
 
     k: int

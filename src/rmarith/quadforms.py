@@ -21,7 +21,6 @@ cross-checks in the test suite. Nothing is kept between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm, prod
 
 from .contfrac import FundamentalUnit, fundamental_unit
@@ -30,6 +29,7 @@ from .errors import (
     InvalidDiscriminant,
     NonCyclicTwoPart,
     NonPrimitiveForm,
+    Record,
     SquareDiscriminant,
 )
 from .intmath import (
@@ -42,8 +42,7 @@ from .intmath import (
 )
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
+class BinaryQuadraticForm(Record):
     """The integral form a*x^2 + b*x*y + c*y^2."""
 
     a: int
@@ -76,8 +75,7 @@ class BinaryQuadraticForm:
         return cls(1, b0, (b0 * b0 - d) // 4)
 
 
-@dataclass(frozen=True)
-class QuadraticOrder:
+class QuadraticOrder(Record):
     """The order Z + f*O_K of conductor f in the field of discriminant d_k."""
 
     d_k: int
@@ -102,8 +100,7 @@ class QuadraticOrder:
         return f"Z + {self.f}*O_Q(sqrt({self.d_k}))"
 
 
-@dataclass(frozen=True)
-class ClassGroupStructure:
+class ClassGroupStructure(Record):
     """A finite abelian group in invariant-factor form d_1 | d_2 | ...
 
     Divisors equal to 1 are dropped; a divisor list that is not a

@@ -11,7 +11,7 @@ from math import prod
 import pytest
 
 import rmarith as rm
-from rmarith import cli
+from rmarith import cli, quadforms
 from rmarith.heights import loglog_slope
 from rmarith.intmath import is_square, squarefree_core
 from rmarith.quadforms import canonical_representative, validate_discriminant
@@ -286,13 +286,13 @@ def test_criterion_10_cli_golden_suite(tmp_path, capsys):
 
         # documented exit codes all observed: 0, 2, 3 above; 4 is the
         # internal-invariant guard, driven here through a broken hook
-        original = cli.quadforms._group_structure
-        cli.quadforms._group_structure = lambda *a, **k: (_ for _ in ()).throw(
+        original = quadforms._group_structure
+        quadforms._group_structure = lambda *a, **k: (_ for _ in ()).throw(
             AssertionError("forced")
         )
         try:
             code = cli.main(["classgroup", "-D", "-23"])
         finally:
-            cli.quadforms._group_structure = original
+            quadforms._group_structure = original
         capsys.readouterr()
         assert code == 4

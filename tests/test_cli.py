@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rmarith import cli, quadforms
+from rmarith import cli, contfrac, heights, quadforms
 from rmarith.heights import minkowski_q
 
 
@@ -293,6 +293,38 @@ class TestCf:
         code, _ = run_cli(["cf", "--sqrt", "2", "--rational", "1/2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "radicand, largest",
+        [
+            # sqrt 7 = [2;(1,1,1,4)]: all the convergents pass CF_MAX_DIGITS
+            (7, 2734),
+            # [10^2000;(2*10^2000)]: one numerator passes CF_MAX_TERM_DIGITS
+            (10**4000 + 1, 9),
+        ],
+        ids=["all-convergents", "one-numerator"],
+    )
+    def test_terms_limit_is_exact(self, radicand, largest, capsys, monkeypatch):
+        def never(cf, count):
+            raise AssertionError("computed convergents although --terms is over the bound")
+
+        argv = ["cf", "--sqrt", str(radicand), "--json", "--terms"]
+        with monkeypatch.context() as patch:
+            patch.setattr(contfrac, "convergents", never)
+            assert cli.main([*argv, str(largest + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --terms {largest + 1}: the convergents may have over 3000000 digits "
+            f"in all or 20000 in one: lower --terms to at most {largest}\n"
+        )
+        data = run_json([*argv, str(largest)], capsys)
+        assert len(data["convergents"]) == largest
+
+    def test_rational_terms_not_bounded(self, capsys):
+        # a finite expansion prints at most its own length
+        data = run_json(["cf", "--rational", "355/113", "--terms", "100000000", "--json"], capsys)
+        assert data["convergents"] == ["3", "22/7", "355/113"]
+
     def test_zero_denominator_exit_2(self, capsys):
         assert cli.main(["cf", "--rational", "1/0"]) == 2
         err = capsys.readouterr().err
@@ -391,8 +423,8 @@ class TestCount:
         def never(n, t):
             raise AssertionError("counted although the answer is too long")
 
-        monkeypatch.setattr(cli.heights, "classical_count", never)
-        monkeypatch.setattr(cli.heights, "quantum_count", never)
+        monkeypatch.setattr(heights, "classical_count", never)
+        monkeypatch.setattr(heights, "quantum_count", never)
         assert cli.main(["count", "-n", "2000000", "--tmin", "2", "--tmax", "4", *mode]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -402,19 +434,19 @@ class TestCount:
         def never(n, t):
             raise AssertionError("counted although --tmax is over the bound")
 
-        monkeypatch.setattr(cli.heights, "classical_count", never)
+        monkeypatch.setattr(heights, "classical_count", never)
         assert cli.main(["count", "-n", "1", "--tmin", "2", "--tmax", "100000000", "--classical"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --classical counts up to --tmax 100000, got 100000000\n"
-        monkeypatch.setattr(cli.heights, "classical_count", lambda n, t: t)
+        monkeypatch.setattr(heights, "classical_count", lambda n, t: t)
         argv = ["count", "--tmin", "2", "--tmax", str(cli.CLASSICAL_TMAX), "--classical"]
         assert run_cli(argv, capsys)[0] == 0
 
     def test_answer_size_limit_is_exact(self, capsys, monkeypatch):
         # at --tmax 4 the bound is (n + 1) * 4 bits: n = 83047 is the largest
         # n whose bound stays within COUNT_MAX_DIGITS
-        monkeypatch.setattr(cli.heights, "quantum_count", lambda n, t: t)
+        monkeypatch.setattr(heights, "quantum_count", lambda n, t: t)
         assert run_cli(["count", "-n", "83047", "--tmin", "2", "--tmax", "4"], capsys)[0] == 0
         assert run_cli(["count", "-n", "83048", "--tmin", "2", "--tmax", "4"], capsys)[0] == 2
 
@@ -558,7 +590,7 @@ class TestExitCodes:
         def broken(names, d):
             raise AssertionError("forced internal failure")
 
-        monkeypatch.setattr(cli.quadforms, "_group_structure", broken)
+        monkeypatch.setattr(quadforms, "_group_structure", broken)
         code, _ = run_cli(["classgroup", "-D", "-23"], capsys)
         assert code == 4
 
