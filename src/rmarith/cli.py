@@ -193,13 +193,13 @@ def cmd_rm_conductor(args, cache) -> None:
 
     limit = cmrm.DEFAULT_SEARCH_LIMIT if args.limit is None else args.limit
     core = cmrm._normalize_radicand(args.d)
-    cm_order = quadforms.QuadraticOrder(quadforms.fundamental_discriminant(-core), args.f)
+    cm_order = quadforms.QuadraticOrder(quadforms._field_discriminant(-core), args.f)
     cm_disc = cm_order.discriminant
     cm_narrow, target = next(quadforms._class_numbers(cm_order.d_k, (cm_order.f,)))
     if cache:
         # recorded before the scan, so a search-limit failure still saves it
         cache.verify(cm_disc, cm_narrow, target)
-    rm_d_k = quadforms.fundamental_discriminant(core)
+    rm_d_k = quadforms._field_discriminant(core)
     f_prime, rm_narrow, rm_h = cmrm._scan(rm_d_k, target, limit)
     rm_disc = rm_d_k * f_prime * f_prime
     if cache:
@@ -312,17 +312,18 @@ def cmd_sha(args) -> None:
         entries = _parse_ints(args.matrix, 4)
         matrix = latimer.IntegerMatrix(((entries[0], entries[1]), (entries[2], entries[3])))
         poly = latimer.char_poly(matrix)
-        report = latimer.sha_for_curve_matrix(matrix)
         source = {"matrix": [list(r) for r in matrix.entries]}
     else:
         coeffs = _parse_ints(args.charpoly, 3)
         if coeffs[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
         poly = tuple(coeffs)
-        disc = poly[1] * poly[1] - 4 * poly[2]
-        report = latimer.sha_group(quadforms.class_group_structure(disc))
         source = {"charpoly": list(poly)}
     disc = poly[1] * poly[1] - 4 * poly[2]
+    if args.matrix is not None:
+        report = latimer.sha_for_curve_matrix(matrix)
+    else:
+        report = latimer.sha_group(quadforms.class_group_structure(disc))
     result = {
         **source,
         "char_poly": list(poly),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import quadforms
 from .errors import Record, SearchLimitExceeded
 from .intmath import squarefree_core
-from .quadforms import BinaryQuadraticForm, QuadraticOrder, fundamental_discriminant
+from .quadforms import BinaryQuadraticForm, QuadraticOrder
 
 DEFAULT_SEARCH_LIMIT = 10_000
 
@@ -51,11 +51,17 @@ def rm_conductor(d: int, f: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> in
     Both class numbers are wide. d is normalized to its squarefree core.
     Raises SearchLimitExceeded when no f' <= search_limit matches.
     """
-    d = _normalize_radicand(d)
+    return _match(_normalize_radicand(d), f, search_limit)[1]
+
+
+def _match(core: int, f: int, limit: int) -> tuple[int, int]:
+    """(d_K, f') for the squarefree core: the real field's discriminant and
+    the conductor matched to the order of conductor f in Q(sqrt(-core))."""
     if f < 1:
         raise ValueError("conductor f must be positive")
-    _, target = next(quadforms._class_numbers(fundamental_discriminant(-d), (f,)))
-    return _scan(fundamental_discriminant(d), target, search_limit)[0]
+    _, target = next(quadforms._class_numbers(quadforms._field_discriminant(-core), (f,)))
+    d_k = quadforms._field_discriminant(core)
+    return d_k, _scan(d_k, target, limit)[0]
 
 
 def _scan(rm_k: int, target: int, limit: int) -> tuple[int, int, int]:
@@ -80,9 +86,7 @@ def rm_triple(
     search_limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> RMTriple:
     """The real-multiplication data matching complex multiplication by (d, f)."""
-    d = _normalize_radicand(d)
-    fp = rm_conductor(d, f, search_limit)
-    d_k = fundamental_discriminant(d)
+    d_k, fp = _match(_normalize_radicand(d), f, search_limit)
     order = QuadraticOrder(d_k, fp)
     reps = quadforms.class_representatives(order.discriminant, "wide")
     return RMTriple(order, tuple(reps), d_k)

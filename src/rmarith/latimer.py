@@ -1,4 +1,4 @@
-"""Integer matrices: characteristic polynomials, Perron eigenvalues,
+"""2x2 integer matrices: characteristic polynomials, Perron eigenvalues,
 GL(2,Z)-similarity classes and the class-group shape of Sha.
 
 Similarity classes follow the Latimer-MacDuffee correspondence: a 2x2
@@ -21,75 +21,39 @@ from .errors import BoundTooSmall, NotPrimitive, Record, ReducibleCharPoly
 from .intmath import is_square
 from .quadforms import ClassGroupStructure
 
-Matrix = tuple[tuple[int, ...], ...]
+Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
 class IntegerMatrix(Record):
+    """A 2x2 integer matrix ((a, b), (c, d)), rows first."""
+
     entries: Matrix
 
     def __post_init__(self):
         rows = tuple(tuple(int(v) for v in row) for row in self.entries)
-        if not rows or any(len(row) != len(rows) for row in rows):
-            raise ValueError("entries must form a nonempty square matrix")
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise ValueError("entries must form a 2x2 matrix")
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.entries) + "]"
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _trace(a: Matrix) -> int:
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def char_poly(b: IntegerMatrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial, coefficients highest degree first.
-
-    Faddeev-LeVerrier recursion; every division is exact in Z.
-    """
-    n = b.dimension
-    a = b.entries
-    m = _identity(n)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        m = _mat_mul(a, m)
-        t = _trace(m)
-        if t % k:
-            raise AssertionError("Faddeev-LeVerrier trace was not divisible")
-        c = -(t // k)
-        coeffs.append(c)
-        m = tuple(
-            tuple(m[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-        )
-    return tuple(coeffs)
+def char_poly(b: IntegerMatrix) -> tuple[int, int, int]:
+    """x^2 - (a + d)x + (ad - bc) as (1, -(a + d), ad - bc), highest degree first."""
+    (a11, a12), (a21, a22) = b.entries
+    return 1, -(a11 + a22), a11 * a22 - a12 * a21
 
 
 def _is_primitive_2x2(a: Matrix) -> bool:
-    if any(v < 0 for row in a for v in row):
-        return False
-    if all(v > 0 for row in a for v in row):
-        return True
-    sq = _mat_mul(a, a)
-    return all(v > 0 for row in sq for v in row)
+    # a nonnegative 2x2 matrix is primitive when its square is positive,
+    # which is when a12 * a21 > 0 and a11 + a22 > 0
+    (a11, a12), (a21, a22) = a
+    return min(a11, a12, a21, a22) >= 0 and a12 * a21 > 0 and a11 + a22 > 0
 
 
 def perron_eigenvalue(b: IntegerMatrix) -> QuadraticIrrational:
@@ -99,8 +63,6 @@ def perron_eigenvalue(b: IntegerMatrix) -> QuadraticIrrational:
     polynomial; a rational eigenvalue is rejected since it leaves the
     quadratic-order pipeline.
     """
-    if b.dimension != 2:
-        raise ValueError("Perron data is computed for 2x2 matrices")
     if not _is_primitive_2x2(b.entries):
         raise NotPrimitive(f"{b} is not a primitive nonnegative matrix")
     (a11, a12), (a21, a22) = b.entries
@@ -155,8 +117,6 @@ def _matrices_with_charpoly(p: tuple[int, ...], bound: int) -> list[Matrix]:
         if abs(a22) > bound:
             continue
         target = a11 * a22 - det  # = a12 * a21, nonzero for irreducible p
-        if target == 0:
-            continue
         for a12 in range(1, bound + 1):
             if target % a12 or abs(target) // a12 > bound:
                 continue

@@ -165,6 +165,11 @@ def fundamental_discriminant(m: int) -> int:
     core, _ = squarefree_core(m)
     if core == 1:
         raise InvalidDiscriminant(f"{m} is a perfect square")
+    return _field_discriminant(core)
+
+
+def _field_discriminant(core: int) -> int:
+    """Discriminant of Q(sqrt(core)) for a squarefree core other than 0 and 1."""
     return core if core % 4 == 1 else 4 * core
 
 
@@ -190,9 +195,6 @@ def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
     while a > c or (a == c and b < 0):
         s = (c + b) // (2 * c)
         a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-    if not -a < b <= a:
-        r = (a - b) // (2 * a)
-        b, c = b + 2 * r * a, a * r * r + b * r + c
     return a, b, c
 
 

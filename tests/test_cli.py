@@ -195,19 +195,31 @@ class TestClassgroup:
             assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["-D", "-23", "-d", "5"],  # two orders
-            ["-D", "-23", "-f", "5"],  # a conductor the discriminant already fixes
-            ["-D", "-23", "--json", "--csv"],  # two output formats
+            # refused by argparse, which prints its usage first
+            (["classgroup", "-D", "-23", "-d", "5"], None),  # two orders
+            (["classgroup", "-D", "-23", "--json", "--csv"], None),  # two output formats
+            # refused by the command: one error line
+            (["classgroup", "-D", "-23", "-f", "5"], "-f goes with -d, not with -D"),
+            (["sha", "--matrix", "1,2,3"], "expected 4 comma-separated integers, got 3"),
+            (["sha", "--matrix", "1,2,3,4,5"], "expected 4 comma-separated integers, got 5"),
+            (["sha"], "give exactly one of --matrix, --charpoly"),
+            (["sha", "--matrix", "1,1,1,0", "--charpoly", "1,-1,-1"],
+             "give exactly one of --matrix, --charpoly"),
+            (["sha", "--charpoly", "2,0,1"], "characteristic polynomial must be monic"),
+            (["cf", "--surd", "1,2"], "expected 3 comma-separated integers, got 2"),
         ],
-        ids=["D-and-d", "f-with-D", "json-and-csv"],
+        ids=["D-and-d", "json-and-csv", "f-with-D", "sha-3-entries", "sha-5-entries",
+             "sha-no-input", "sha-both-inputs", "sha-not-monic", "cf-surd-2-values"],
     )
-    def test_ambiguous_input_exit_2(self, argv, capsys):
-        assert cli.main(["classgroup", *argv]) == 2
+    def test_ambiguous_input_exit_2(self, argv, message, capsys):
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err and "Traceback" not in captured.err
+        if message is not None:
+            assert captured.err == f"error: {message}\n"
 
     def test_csv(self, capsys):
         code, out = run_cli(["classgroup", "-D", "-23", "--csv"], capsys)

@@ -1,6 +1,6 @@
 import pytest
 
-from rmarith import contfrac, quadforms
+from rmarith import cli, cmrm, contfrac, intmath, quadforms
 from rmarith import (
     BinaryQuadraticForm,
     QuadraticOrder,
@@ -63,6 +63,32 @@ class TestConductorMap:
             rm_conductor(16, 1)
         with pytest.raises(ValueError):
             rm_conductor(0, 1)
+
+    def test_rejects_conductor_below_one(self):
+        with pytest.raises(ValueError, match="conductor f must be positive"):
+            rm_conductor(5, 0)
+
+    def test_radicand_factored_once(self, capsys, monkeypatch):
+        # the squarefree core gives both fields' discriminants; only the
+        # radicand and QuadraticOrder's checks of its field factor anything
+        real = intmath.squarefree_core
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        for module in (intmath, quadforms, cmrm):
+            monkeypatch.setattr(module, "squarefree_core", counted)
+        assert rm_conductor(2, 1) == 1
+        assert calls == [2]
+        calls.clear()
+        assert cli.main(["rm-conductor", "-d", "2"]) == 0
+        capsys.readouterr()
+        assert calls == [2, -8]
+        calls.clear()
+        rm_triple(2, 1)
+        assert calls == [2, 8, 8]
 
     def test_scan_builds_the_field_unit_once(self, monkeypatch):
         # the unit's norm comes from the field unit: quadforms has no unit_norm

@@ -8,6 +8,28 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# Demos whose whole stdout is pinned byte for byte.
+EXPECTED_STDOUT = {
+    "04_matrix_classes_and_sha.py": (
+        "=== From a positive matrix to a quadratic order ===\n"
+        "B = [1 1; 1 0]:  char poly (1, -1, -1),  Perron eigenvalue (1+sqrt(5))/2,  h = 1\n"
+        "B = [2 1; 1 1]:  char poly (1, -3, 1),  Perron eigenvalue (3+sqrt(5))/2,  h = 1\n"
+        "B = [6 1; 1 0]:  char poly (1, -6, -1),  Perron eigenvalue (6+sqrt(40))/2,  h = 2\n"
+        "\n"
+        "=== Counting GL(2,Z)-similarity classes by Latimer-MacDuffee ===\n"
+        "(classes of matrices with a fixed irreducible char poly match the\n"
+        " ideal class number of the order generated by a root)\n"
+        "p = (1, -1, -1), disc    5: 1 classes (= h_wide = 1); representatives ['[0 -1; -1 1]']\n"
+        "p = (1, -6, -1), disc   40: 2 classes (= h_wide = 2); representatives ['[0 -1; -1 6]', '[2 -3; -3 4]']\n"
+        "p = (1, 1, 6), disc  -23: 3 classes (= h_wide = 3); representatives ['[-6 -6; 6 5]', '[-1 -2; 3 0]', '[-1 -3; 2 0]']\n"
+        "\n"
+        "=== Sha from the class group of the eigenvalue order ===\n"
+        "B = [1 1; 1 0]: Cl = () (k = 0)  ->  Sha = trivial, order 1\n"
+        "B = [6 1; 1 0]: Cl = (2,) (k = 1)  ->  Sha = Z/2, order 2\n"
+        "B = [5 2; 2 1]: Cl = (2,) (k = 1)  ->  Sha = Z/2, order 2\n"
+    ),
+}
+
 
 def test_demos_found():
     assert DEMOS  # an empty parametrization below would only skip
@@ -21,3 +43,5 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if demo.name in EXPECTED_STDOUT:
+        assert proc.stdout == EXPECTED_STDOUT[demo.name]

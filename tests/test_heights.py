@@ -134,7 +134,7 @@ class TestMinkowski:
             done += 1
 
     def test_inverse_rejects_non_dyadic(self):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(OutOfDomain, match="not dyadic"):
             inverse_minkowski_q(Fraction(1, 3))
 
 

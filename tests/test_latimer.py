@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,7 @@ from rmarith import (
     sha_group,
     similarity_class_count_bruteforce,
 )
-from rmarith.latimer import _matrices_with_charpoly
+from rmarith.latimer import _is_primitive_2x2, _matrices_with_charpoly
 
 from oracles import mat_inv2, mat_mul2, random_gl2_word, similarity_classes_bfs
 
@@ -39,13 +40,14 @@ class TestCharPoly:
             got = char_poly(M([[a, b], [c, d]]))
             assert got == (1, -(a + d), a * d - b * c)
 
-    def test_3x3_companion(self):
-        companion = M([[0, 0, -5], [1, 0, -2], [0, 1, 3]])
-        assert char_poly(companion) == (1, -3, 2, 5)
-
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             IntegerMatrix(((1, 2, 3), (4, 5, 6)))
+        # matrices are 2x2: 1x1, 3x3, ragged and empty input are refused too
+        for entries in (((1,),), ((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 2), (3,)),
+                        ((1,), (2, 3)), ()):
+            with pytest.raises(ValueError, match="2x2"):
+                IntegerMatrix(entries)
 
 
 class TestPerron:
@@ -66,6 +68,13 @@ class TestPerron:
             perron_eigenvalue(M([[1, -1], [1, 0]]))
         with pytest.raises(NotPrimitive):
             perron_eigenvalue(M([[2, 0], [0, 3]]))
+
+    def test_primitive_iff_square_positive(self):
+        # a nonnegative 2x2 matrix is primitive exactly when its square is positive
+        for a, b, c, d in product(range(-2, 7), repeat=4):
+            m = ((a, b), (c, d))
+            square_positive = min(v for row in mat_mul2(m, m) for v in row) > 0
+            assert _is_primitive_2x2(m) == (min(a, b, c, d) >= 0 and square_positive), m
 
     def test_exceeds_conjugate_and_satisfies_poly(self):
         rng = random.Random(9)
@@ -117,6 +126,10 @@ class TestSimilarityClasses:
     def test_cubic_rejected(self):
         with pytest.raises(ValueError, match="monic quadratic"):
             similarity_class_count_bruteforce((1, -3, 2, 5), 2)
+
+    def test_bound_below_one_rejected(self):
+        with pytest.raises(ValueError, match="entry_bound must be positive"):
+            similarity_class_count_bruteforce((1, -3, 1), 0)
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmall):
