@@ -193,9 +193,11 @@ def cmd_rm_conductor(args, cache) -> None:
 
     limit = cmrm.DEFAULT_SEARCH_LIMIT if args.limit is None else args.limit
     core = cmrm._normalize_radicand(args.d)
-    cm_order = quadforms.QuadraticOrder(quadforms._field_discriminant(-core), args.f)
-    cm_disc = cm_order.discriminant
-    cm_narrow, target = next(quadforms._class_numbers(cm_order.d_k, (cm_order.f,)))
+    if args.f < 1:
+        raise ValueError("conductor must be positive")
+    cm_d_k = quadforms._field_discriminant(-core)
+    cm_disc = cm_d_k * args.f * args.f
+    cm_narrow, target = next(quadforms._class_numbers(cm_d_k, (args.f,)))
     if cache:
         # recorded before the scan, so a search-limit failure still saves it
         cache.verify(cm_disc, cm_narrow, target)

@@ -103,42 +103,30 @@ class QuadraticOrder(Record):
 class ClassGroupStructure(Record):
     """A finite abelian group in invariant-factor form d_1 | d_2 | ...
 
-    Divisors equal to 1 are dropped; a divisor list that is not a
-    divisibility chain is renormalized prime by prime. ``h`` is the order.
+    Any list of cyclic orders is accepted: each pair (d_i, d_j), i < j, is
+    replaced by (gcd, lcm), since Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and
+    then d_i divides every later entry; 1s are dropped. Nothing is factored.
+    ``h`` is the order.
     """
 
     elementary_divisors: tuple[int, ...]
     h: int = 0
 
     def __post_init__(self):
-        divs = tuple(int(d) for d in self.elementary_divisors if int(d) != 1)
+        divs = [int(d) for d in self.elementary_divisors]
         if any(d < 1 for d in divs):
             raise ValueError("divisors must be positive")
-        if any(divs[i + 1] % divs[i] for i in range(len(divs) - 1)):
-            divs = _invariant_factors_of_sum(list(divs))
+        for i in range(len(divs)):
+            for j in range(i + 1, len(divs)):
+                a, b = divs[i], divs[j]
+                divs[i] = g = gcd(a, b)
+                divs[j] = a // g * b
+        divs = tuple(d for d in divs if d != 1)
         order = prod(divs)
         if self.h and self.h != order:
             raise ValueError(f"h={self.h} != product of divisors {order}")
         object.__setattr__(self, "elementary_divisors", divs)
         object.__setattr__(self, "h", order)
-
-
-def _invariant_factors_of_sum(orders: list[int]) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of cyclic groups of these orders."""
-    powers: dict[int, list[int]] = {}
-    for d in orders:
-        for p, e in factorization(d):
-            powers.setdefault(p, []).append(e)
-    width = max((len(v) for v in powers.values()), default=0)
-    out = []
-    for i in range(width):
-        factor = 1
-        for p, exps in powers.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                factor *= p ** exps_sorted[i]
-        out.append(factor)
-    return tuple(sorted(out))
 
 
 def validate_discriminant(d: int) -> None:
@@ -552,25 +540,16 @@ def _group_structure(names: dict, d: int) -> ClassGroupStructure:
 def two_part_decomposition(
     group: ClassGroupStructure,
 ) -> tuple[int, ClassGroupStructure]:
-    """Split Cl = Z/2^k + odd part; error when the 2-Sylow is not cyclic."""
-    evens = [d for d in group.elementary_divisors if d % 2 == 0]
-    if len(evens) > 1:
-        raise NonCyclicTwoPart(
-            f"2-Sylow of {group.elementary_divisors} is not cyclic"
-        )
-    k = 0
-    if evens:
-        d = evens[0]
-        while d % 2 == 0:
-            d //= 2
-            k += 1
-    odd = []
-    for d in group.elementary_divisors:
-        while d % 2 == 0:
-            d //= 2
-        if d > 1:
-            odd.append(d)
-    return k, ClassGroupStructure(tuple(odd))
+    """Split Cl = Z/2^k + odd part; error when the 2-Sylow is not cyclic.
+
+    In a chain d_1 | d_2 | ... only the last factor can be even alone: if
+    any other is, so is the second-to-last, and the 2-Sylow is not cyclic.
+    """
+    *rest, last = group.elementary_divisors or (1,)
+    if rest and rest[-1] % 2 == 0:
+        raise NonCyclicTwoPart(f"2-Sylow of {group.elementary_divisors} is not cyclic")
+    k = (last & -last).bit_length() - 1
+    return k, ClassGroupStructure((*rest, last >> k))
 
 
 def class_representatives(d: int, flavor: str = "narrow") -> list[BinaryQuadraticForm]:

@@ -70,7 +70,7 @@ class TestConductorMap:
 
     def test_radicand_factored_once(self, capsys, monkeypatch):
         # the squarefree core gives both fields' discriminants; only the
-        # radicand and QuadraticOrder's checks of its field factor anything
+        # radicand and, for rm_triple, QuadraticOrder's checks factor anything
         real = intmath.squarefree_core
         calls = []
 
@@ -85,7 +85,7 @@ class TestConductorMap:
         calls.clear()
         assert cli.main(["rm-conductor", "-d", "2"]) == 0
         capsys.readouterr()
-        assert calls == [2, -8]
+        assert calls == [2]
         calls.clear()
         rm_triple(2, 1)
         assert calls == [2, 8, 8]
@@ -163,3 +163,5 @@ class TestRMTriple:
             )
         with pytest.raises(ValueError):
             RMTriple(QuadraticOrder(-8, 1), (), -8)
+        with pytest.raises(ValueError, match="field discriminant does not match"):
+            RMTriple(QuadraticOrder(5), (BinaryQuadraticForm(1, 1, -1),), 8)

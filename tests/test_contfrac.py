@@ -81,6 +81,8 @@ class TestQuadraticIrrational:
             QuadraticIrrational(1, 2, 9)
         with pytest.raises(ValueError):
             QuadraticIrrational(1, 0, 5)
+        with pytest.raises(ValueError, match="singular"):
+            QuadraticIrrational.sqrt(2).mobius(1, 2, 2, 4)
 
 
 class TestExpand:
@@ -190,6 +192,8 @@ class TestConvergents:
         assert convergents(cf, 2) == [Fraction(2), Fraction(7, 3)]
         with pytest.raises(CountExceedsFiniteExpansion):
             convergents(cf, 3)
+        with pytest.raises(ValueError, match="count must be positive"):
+            convergents(cf, 0)
 
     def test_determinant_identity(self):
         rng = random.Random(37)
@@ -242,6 +246,10 @@ class TestBratteli:
     def test_rational_rejected(self):
         with pytest.raises(NotEventuallyPeriodic):
             bratteli_blocks(cf_expand(Fraction(7, 3)), 2)
+        with pytest.raises(ValueError, match="count must be positive"):
+            bratteli_blocks(cf_expand(QuadraticIrrational.sqrt(2)), 0)
+        with pytest.raises(ValueError, match="has determinant"):
+            BratteliBlockSequence((((1, 1), (1, 1)),), 0)
 
 
 class TestTailEquivalence:

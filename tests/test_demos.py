@@ -10,6 +10,35 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Demos whose whole stdout is pinned byte for byte.
 EXPECTED_STDOUT = {
+    "01_class_groups.py": (
+        "=== Reduction ===\n"
+        "(3,4,2) has discriminant -8\n"
+        "its unique reduced representative is (1,0,2)\n"
+        "\n"
+        "(1,2,-1) is indefinite (discriminant 8);\n"
+        "reduction lands on its cycle: (1,2,-1)\n"
+        "\n"
+        "=== Class groups ===\n"
+        "D =    -23: h =   3, group Z/3\n"
+        "          reduced forms: (1,1,6), (2,-1,3), (2,1,3)\n"
+        "D =    -56: h =   4, group Z/4\n"
+        "D =    -84: h =   4, group Z/2 x Z/2\n"
+        "D =  -3299: h =  27, group Z/3 x Z/9\n"
+        "\n"
+        "=== Composition is the group law ===\n"
+        "[(2,1,3)]^2 = [(2,-1,3)]\n"
+        "[(2,1,3)] * [(2,-1,3)] = [(1,1,6)]  (the principal class)\n"
+        "\n"
+        "=== Indefinite class numbers need the fundamental unit ===\n"
+        "D = 8: narrow h = 1, wide h = 1\n"
+        "D = 40: narrow h = 2, wide h = 2\n"
+        "D = 60: narrow h = 4, wide h = 2\n"
+        "\n"
+        "=== Splitting off the 2-part ===\n"
+        "D = -23: Cl = Z/2^0 + odd part (3,)\n"
+        "D = -56: Cl = Z/2^2 + odd part (trivial)\n"
+        "D = -84: 2-Sylow of (2, 2) is not cyclic\n"
+    ),
     "04_matrix_classes_and_sha.py": (
         "=== From a positive matrix to a quadratic order ===\n"
         "B = [1 1; 1 0]:  char poly (1, -1, -1),  Perron eigenvalue (1+sqrt(5))/2,  h = 1\n"

@@ -136,6 +136,8 @@ class TestMinkowski:
     def test_inverse_rejects_non_dyadic(self):
         with pytest.raises(OutOfDomain, match="not dyadic"):
             inverse_minkowski_q(Fraction(1, 3))
+        with pytest.raises(OutOfDomain, match=r"not in \[0, 1\]"):
+            inverse_minkowski_q(Fraction(3, 2))
 
 
 class TestProjective:
@@ -267,6 +269,10 @@ class TestRegime:
             VarietyProfile(1, (1, 2, 1), 3, m=1)  # rank != 2m
         with pytest.raises(ValueError):
             VarietyProfile(1, (1, -1, 1), 2)
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            VarietyProfile(-1, (), 0)
+        with pytest.raises(ValueError, match="rank_k0 must be nonnegative"):
+            VarietyProfile(1, (1, 2, 1), -1)
 
 
 class TestFiniteness:

@@ -11,6 +11,7 @@ from rmarith import (
     NotPrimitive,
     QuadraticIrrational,
     ReducibleCharPoly,
+    ShaReport,
     char_poly,
     class_number,
     classify,
@@ -257,6 +258,10 @@ class TestSha:
     def test_non_cyclic_two_part(self):
         with pytest.raises(NonCyclicTwoPart):
             sha_group(ClassGroupStructure((2, 2)))
+
+    def test_report_order_checked(self):
+        with pytest.raises(ValueError, match="sha_order must be the product of sha_divisors"):
+            ShaReport(1, ClassGroupStructure((2,)), (2,), 3)
 
     def test_square_invariants(self):
         from rmarith import two_part_decomposition

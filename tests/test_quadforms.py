@@ -1,5 +1,8 @@
 import random
+import re
 from collections import Counter
+from functools import cache
+from itertools import product
 from math import lcm, prod
 
 import pytest
@@ -20,6 +23,7 @@ from rmarith import (
     class_representatives,
     compose,
     enumerate_reduced_forms,
+    fundamental_discriminant,
     fundamental_unit,
     reduce_form,
     split_discriminant,
@@ -48,6 +52,21 @@ from oracles import (
     wide_representatives_by_twist,
     word_search_reduce,
 )
+
+
+def order_multiset(divs):
+    """Element orders of Z/d1 + Z/d2 + ...; the order of the summands does not matter."""
+    return _order_multiset(tuple(sorted(divs)))
+
+
+_order_multiset = cache(order_multiset_for_divisors)
+
+
+def small_chains():
+    """Every divisor list of length <= 3 over 1..8, with its normal form."""
+    for n in range(4):
+        for divs in product(range(1, 9), repeat=n):
+            yield divs, ClassGroupStructure(divs).elementary_divisors
 
 
 def valid_discriminants(lo, hi):
@@ -82,6 +101,8 @@ class TestReduce:
             reduce_form(BinaryQuadraticForm(1, 3, 2))  # D = 1
         with pytest.raises(SquareDiscriminant):
             reduce_form(BinaryQuadraticForm(1, 2, 1))  # D = 0
+        with pytest.raises(ValueError, match="negative definite"):
+            reduce_form(BinaryQuadraticForm(-1, 1, -6))
 
     def test_random_forms_reduce_exactly(self):
         rng = random.Random(7)
@@ -213,6 +234,8 @@ class TestClassNumber:
     def test_flavor_validation(self):
         with pytest.raises(ValueError):
             class_number(-23, "broad")
+        with pytest.raises(ValueError, match="flavor must be 'narrow' or 'wide', got 'both'"):
+            class_representatives(-23, "both")
 
     def test_invalid_discriminant(self):
         with pytest.raises(InvalidDiscriminant):
@@ -421,6 +444,17 @@ class TestTwoPart:
         with pytest.raises(NonCyclicTwoPart):
             two_part_decomposition(ClassGroupStructure((2, 2)))
 
+    def test_every_short_chain(self):
+        for _, chain in small_chains():
+            group = ClassGroupStructure(chain)
+            if sum(d % 2 == 0 for d in chain) > 1:
+                with pytest.raises(NonCyclicTwoPart, match=re.escape(f"2-Sylow of {chain} is not cyclic")):
+                    two_part_decomposition(group)
+                continue
+            k, odd = two_part_decomposition(group)
+            assert all(d % 2 for d in odd.elementary_divisors), chain
+            assert order_multiset((2**k, *odd.elementary_divisors)) == order_multiset(chain), chain
+
     def test_product_invariant(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -456,11 +490,36 @@ class TestOrderAndStructureTypes:
         with pytest.raises(InvalidDiscriminant):
             QuadraticOrder(45, 1)
 
+    def test_fundamental_discriminant_rejects_zero_and_squares(self):
+        with pytest.raises(InvalidDiscriminant, match="0 has no quadratic field"):
+            fundamental_discriminant(0)
+        with pytest.raises(InvalidDiscriminant, match="4 is a perfect square"):
+            fundamental_discriminant(4)
+
     def test_structure_normalizes(self):
         g = ClassGroupStructure((1, 3))
         assert g.elementary_divisors == (3,)
         g = ClassGroupStructure((2, 3))  # not a chain: renormalized
         assert g.elementary_divisors == (6,)
+
+    def test_every_short_list_becomes_its_chain(self):
+        for divs, chain in small_chains():
+            assert 1 not in chain and all(b % a == 0 for a, b in zip(chain, chain[1:])), divs
+            assert order_multiset(chain) == order_multiset(divs), divs
+
+    def test_structure_factors_nothing(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(quadforms, "factorization", refuse)
+        p, q = 10**30 + 57, 10**20 + 39
+        assert ClassGroupStructure((2, p)).elementary_divisors == (2 * p,)
+        g = ClassGroupStructure((4, 6, q))
+        assert (g.elementary_divisors, g.h) == ((2, 12 * q), 24 * q)
+        k, odd = two_part_decomposition(ClassGroupStructure((2, p)))
+        assert (k, odd.elementary_divisors) == (1, (p,))
+        with pytest.raises(NonCyclicTwoPart):
+            two_part_decomposition(g)
 
 
 class TestWideRepresentatives:

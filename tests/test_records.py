@@ -117,6 +117,8 @@ def test_post_init_normalises():
         QuadraticOrder(5, 0)
     with pytest.raises(ValueError):
         ClassGroupStructure((2,), 3)
+    with pytest.raises(ValueError, match="divisors must be positive"):
+        ClassGroupStructure((2, -3))
 
 
 @params
