@@ -29,7 +29,7 @@ for value, label in [
 
 print("\n=== Convergents of sqrt(2) ===")
 cf = cf_expand(QuadraticIrrational.sqrt(2))
-print(", ".join(str(c) for c in convergents(cf, 8)))
+print(", ".join(str(Fraction(p, q)) for p, q in convergents(cf, 8)))
 
 print("\n=== Re-evaluating an expansion recovers the value ===")
 x = QuadraticIrrational(5, 3, 19)

@@ -161,13 +161,13 @@ def cmd_classgroup(args, cache) -> None:
     else:
         d_k, f = args.fundamental, 1 if args.conductor is None else args.conductor
         d = quadforms.QuadraticOrder(d_k, f).discriminant
-    names = quadforms._classes(d)
+    names = quadforms._classes(d_k, f)
     classes = sorted(set(names.values()))
     narrow, wide = len(classes), len(quadforms._wide_names(names, d))
     if cache:
         cache.verify(d, narrow, wide)
     structure = quadforms._group_structure(names, d)
-    reps = [quadforms.BinaryQuadraticForm(*g) for g in classes]
+    reps = [list(g) for g in classes]
     result = {
         "D": d,
         "d_k": d_k,
@@ -176,15 +176,15 @@ def cmd_classgroup(args, cache) -> None:
         "narrow": narrow,
         "wide": wide,
         "divisors": list(structure.elementary_divisors),
-        "representatives": [[g.a, g.b, g.c] for g in reps],
+        "representatives": reps,
     }
     human = [
         f"discriminant      {d}  (fundamental {d_k}, conductor {f})",
         f"class number      narrow {narrow}, wide {wide}",
         f"group structure   {' x '.join('Z/' + str(v) for v in structure.elementary_divisors) or 'trivial'}",
-        "representatives   " + " ".join(str(g) for g in reps),
+        "representatives   " + " ".join(str(quadforms.BinaryQuadraticForm(*g)) for g in classes),
     ]
-    rows = [["a", "b", "c"]] + [[g.a, g.b, g.c] for g in reps]
+    rows = [["a", "b", "c"]] + reps
     _emit(args, result, human, rows)
 
 
@@ -283,7 +283,7 @@ def cmd_cf(args) -> None:
         count = min(count, len(cf.preperiod))
     else:
         _check_convergent_digits(cf, count)
-    convs = [str(c) for c in contfrac.convergents(cf, count)]
+    convs = [f"{p}/{q}" if q > 1 else str(p) for p, q in contfrac.convergents(cf, count)]
     result = {
         "input": shown,
         "preperiod": list(cf.preperiod),

@@ -54,14 +54,15 @@ def rm_conductor(d: int, f: int, search_limit: int = DEFAULT_SEARCH_LIMIT) -> in
     return _match(_normalize_radicand(d), f, search_limit)[1]
 
 
-def _match(core: int, f: int, limit: int) -> tuple[int, int]:
-    """(d_K, f') for the squarefree core: the real field's discriminant and
-    the conductor matched to the order of conductor f in Q(sqrt(-core))."""
+def _match(core: int, f: int, limit: int) -> tuple[int, int, int]:
+    """(d_K, f', h) for the squarefree core: the real field's discriminant,
+    the conductor matched to the order of conductor f in Q(sqrt(-core)), and
+    the wide class number the two orders share."""
     if f < 1:
         raise ValueError("conductor f must be positive")
     _, target = next(quadforms._class_numbers(quadforms._field_discriminant(-core), (f,)))
     d_k = quadforms._field_discriminant(core)
-    return d_k, _scan(d_k, target, limit)[0]
+    return d_k, _scan(d_k, target, limit)[0], target
 
 
 def _scan(rm_k: int, target: int, limit: int) -> tuple[int, int, int]:
@@ -85,8 +86,16 @@ def rm_triple(
     f: int,
     search_limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> RMTriple:
-    """The real-multiplication data matching complex multiplication by (d, f)."""
-    d_k, fp = _match(_normalize_radicand(d), f, search_limit)
-    order = QuadraticOrder(d_k, fp)
-    reps = quadforms.class_representatives(order.discriminant, "wide")
-    return RMTriple(order, tuple(reps), d_k)
+    """The real-multiplication data matching complex multiplication by (d, f).
+
+    The order's wide representatives are lifted from its field, and counted
+    against the wide class number the scan matched.
+    """
+    d_k, fp, wide = _match(_normalize_radicand(d), f, search_limit)
+    disc = d_k * fp * fp
+    reps = sorted(quadforms._wide_names(quadforms._classes(d_k, fp), disc))
+    if len(reps) != wide:
+        raise AssertionError(f"{len(reps)} wide classes of {disc}, not {wide}")
+    return RMTriple._trusted(
+        QuadraticOrder._trusted(d_k, fp), tuple(BinaryQuadraticForm(*g) for g in reps), d_k
+    )

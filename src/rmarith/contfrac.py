@@ -318,19 +318,22 @@ def cf_expand(x: Union[QuadraticIrrational, Rational]) -> ContinuedFraction:
     return ContinuedFraction(tuple(terms), ())
 
 
-def convergents(cf: ContinuedFraction, count: int) -> list[Fraction]:
-    """First ``count`` convergents p_k/q_k, each in lowest terms."""
+def convergents(cf: ContinuedFraction, count: int) -> list[tuple[int, int]]:
+    """First ``count`` convergents p_k/q_k as pairs (p_k, q_k) in lowest terms.
+
+    p_k*q_(k-1) - p_(k-1)*q_k = (-1)^(k-1), so each pair is coprime by
+    construction, and q_k > 0: no gcd is taken.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     terms = cf.terms(count)
-    out = []
     p_prev, q_prev = 1, 0
     p, q = terms[0], 1
-    out.append(Fraction(p, q))
+    out = [(p, q)]
     for a in terms[1:]:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        out.append(Fraction(p, q))
+        out.append((p, q))
     return out
 
 

@@ -88,6 +88,17 @@ class Record:
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance of the fields `values`, all of them in order, that the
+        library has just computed: ``__post_init__`` does not check them again."""
+        fields = cls.__annotations__
+        if len(values) != len(fields):
+            raise TypeError(f"{cls.__name__}._trusted() takes {len(fields)} fields, got {len(values)}")
+        self = object.__new__(cls)
+        self.__dict__.update(zip(fields, values))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -5,11 +5,15 @@ quadratic order of discriminant D, for definite and indefinite D alike.
 Definite forms reduce to a unique representative; indefinite forms reduce
 onto rho-cycles, and each cycle is one proper class.
 
-Each class is named once: `_classes(d)` maps every reduced form to the least
-form of its class, one rho-walk per cycle, and the class-group code reads
+Each class is named once: `_classes(d_k, f)` maps every reduced form of
+D = f^2 * d_K to the least form of its class, and the class-group code reads
 names from it; a wide class joins the classes of (a, b, c) and (-a, b, -c).
-Its reduced forms, of either sign, come from one scan of divisor pairs of
-|d - b^2|/4 up to their square root; nothing is factored.
+The public functions split D into (d_K, f) once. The field's reduced forms
+come from one scan of divisor pairs of |d_K - b^2|/4 up to their square
+root. For f > 1 each field class is carried to the order through the
+sigma(f) index-f sublattices, and the primitive results are reduced; D
+itself is never scanned. For D > 0 one rho-walk names a cycle and its
+negated cycle, (a, b, c) -> (-a, b, -c), together.
 
 `class_number` validates D and splits it as f^2 * d_K once; the unchecked
 kernel `_class_numbers(d_K, conductors)` does the rest, building the field
@@ -213,15 +217,18 @@ def _reduce(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _cycle(a: int, b: int, c: int, d: int):
-    """The rho-cycle through the reduced indefinite form (a, b, c), as tuples."""
+def _cycle(a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
+    """The rho-cycle through the reduced indefinite form (a, b, c), as a list.
+    _rho is inlined: every form on the cycle is reduced, so |c| <= isqrt(d)."""
     s = isqrt(d)
-    start = form = (a, b, c)
+    cycle = [(a, b, c)]
+    a0, b0 = a, b
     while True:
-        yield form
-        form = _rho(*form, d, s)
-        if form == start:
-            return
+        b = s - (s + b) % (2 * abs(c))
+        a, c = c, (b * b - d) // (4 * c)
+        if a == a0 and b == b0:
+            return cycle
+        cycle.append((a, b, c))
 
 
 def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
@@ -266,16 +273,15 @@ def canonical_representative(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(*_canonical(form.a, form.b, form.c, d))
 
 
-def _classes(d: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
-    """Map each reduced primitive form of discriminant d to the least form of
-    its proper class (unchecked): itself for d < 0, the least on its rho-cycle
-    for d > 0, each cycle walked once.
+def _field_forms(d: int) -> set[tuple[int, int, int]]:
+    """The reduced forms of a fundamental discriminant d (unchecked).
 
     A reduced form has 4|ac| = |d - b^2| = 4n with 0 <= b <= isqrt(|d|), and
     the lesser of |a|, |c| is at most isqrt(n): for d < 0 since |b| <= a <= c,
     for d > 0 since both lie in the window s - b < 2|x| <= s + b, s = isqrt(d)
     (Cohen, A Course in Computational Algebraic Number Theory, 5.3 and 5.6).
-    So one scan of divisor pairs (a, n/a), a <= isqrt(n), finds every one.
+    So one scan of divisor pairs (a, n/a), a <= isqrt(n), finds every one;
+    they are all primitive, as d is fundamental.
     """
     s = isqrt(abs(d))
     reduced = set()
@@ -285,26 +291,90 @@ def _classes(d: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
             if n % a:
                 continue
             c = n // a
-            if gcd(gcd(a, b), c) != 1:
-                continue
             if d < 0:
                 reduced.add((a, b, c))
                 if 0 < b < a < c:
                     reduced.add((a, -b, c))
             elif 2 * c - b <= s:
                 reduced.update(((a, b, -c), (-a, b, c), (c, b, -a), (-c, b, a)))
-    if d < 0:
-        return {g: g for g in reduced}
+    return reduced
+
+
+def _name_cycles(forms, d: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """Map every form on the rho-cycles through the reduced forms `forms`,
+    d > 0, to the least form of its cycle (unchecked).
+
+    Each new cycle is walked once. (a, b, c) -> (-a, b, -c) commutes with
+    rho, so the same walk names the negated cycle too, unless it is the same
+    cycle.
+    """
     names = {}
-    for form in sorted(reduced):
+    for form in forms:
         if form in names:
             continue
-        # forms are visited in ascending order, so the first of a cycle is its least
-        for g in _cycle(*form, d):
-            if g not in reduced:
-                raise AssertionError(f"cycle of {form} left the reduced set at {g}")
-            names[g] = form
+        cycle = _cycle(*form, d)
+        names.update(dict.fromkeys(cycle, min(cycle)))
+        if (-form[0], form[1], -form[2]) not in names:
+            cycle = [(-a, b, -c) for a, b, c in cycle]
+            names.update(dict.fromkeys(cycle, min(cycle)))
     return names
+
+
+def _lift(field: dict, d_k: int, f: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """The class map of Z + f*O_K from `field`, the class map of its field d_k
+    (unchecked).
+
+    A proper ideal L of the order has index f in L*O_K and a basis
+    (k*u, t*u + m*v), with (u, v) a basis of L*O_K, k*m = f and 0 <= t < k:
+    one of the sigma(f) index-f sublattices in Hermite normal form. So with Q
+    the form of L*O_K, the form of L is Q(k*x + t*y, m*y), and the order's
+    classes are the primitive forms among these over the field's classes
+    (Cox, Primes of the Form x^2 + ny^2, 7). One form per wide field class
+    suffices for d > 0: the lifts of (-A, B, -C) are the negated lifts of
+    (A, B, C), which the cycle naming reaches anyway.
+    """
+    if f == 1:
+        return field
+    d = d_k * f * f
+    divisors = [k for k in range(1, f + 1) if f % k == 0]
+
+    def sublattice_forms():
+        for A, B, C in _wide_names(field, d_k):
+            for k in divisors:
+                m = f // k
+                a, bm, cm = A * k * k, B * m, C * m * m
+                for t in range(k):
+                    # Q(kx + ty, my) = (A k^2, (2At + Bm) k, At^2 + Btm + Cm^2)
+                    b, c = (2 * A * t + bm) * k, (A * t + bm) * t + cm
+                    if gcd(a, b, c) == 1:
+                        yield _reduce(a, b, c, d)
+
+    if d < 0:
+        return {g: g for g in sublattice_forms()}
+    names = _name_cycles(sublattice_forms(), d)
+    s = isqrt(d)
+    if not all(_is_reduced_indefinite(a, b, s) for a, b, _ in names):
+        raise AssertionError(f"a rho-cycle of {d} holds a form that is not reduced")
+    return names
+
+
+def _classes(d_k: int, f: int = 1) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """Map each reduced primitive form of discriminant d_k*f^2, d_k
+    fundamental, to the least form of its proper class (unchecked): itself
+    for d < 0, the least on its rho-cycle for d > 0.
+
+    The field's reduced forms come from one scan of d_k; for f > 1 its
+    classes are lifted to the order (`_lift`).
+    """
+    reduced = _field_forms(d_k)
+    if d_k < 0:
+        names = {g: g for g in reduced}
+    else:
+        names = _name_cycles(reduced, d_k)
+        # every scanned form is named, so equal sizes mean equal sets
+        if len(names) != len(reduced):
+            raise AssertionError(f"a rho-cycle of {d_k} left the reduced forms")
+    return _lift(names, d_k, f)
 
 
 def _wide_names(names: dict, d: int) -> set[tuple[int, int, int]]:
@@ -316,8 +386,7 @@ def _wide_names(names: dict, d: int) -> set[tuple[int, int, int]]:
 
 def enumerate_reduced_forms(d: int) -> list[BinaryQuadraticForm]:
     """All reduced primitive forms (D < 0) or one form per cycle (D > 0)."""
-    validate_discriminant(d)
-    return [BinaryQuadraticForm(*g) for g in sorted(set(_classes(d).values()))]
+    return [BinaryQuadraticForm(*g) for g in sorted(set(_classes(*split_discriminant(d)).values()))]
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +525,7 @@ def _power(g: tuple[int, int, int], n: int, d: int) -> tuple[int, int, int]:
 
 def class_group_structure(d: int) -> ClassGroupStructure:
     """Invariant factors of the form class group of discriminant d."""
-    validate_discriminant(d)
-    return _group_structure(_classes(d), d)
+    return _group_structure(_classes(*split_discriminant(d)), d)
 
 
 def _group_structure(names: dict, d: int) -> ClassGroupStructure:
@@ -562,7 +630,6 @@ def class_representatives(d: int, flavor: str = "narrow") -> list[BinaryQuadrati
     """
     if flavor not in ("narrow", "wide"):
         raise ValueError(f"flavor must be 'narrow' or 'wide', got {flavor!r}")
-    validate_discriminant(d)
-    names = _classes(d)
+    names = _classes(*split_discriminant(d))
     reps = set(names.values()) if flavor == "narrow" else _wide_names(names, d)
     return [BinaryQuadraticForm(*g) for g in sorted(reps)]

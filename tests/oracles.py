@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code path with the
 implementations under test: SL(2,Z) word search for reduction, raw (a, b)
-scans for the reduced forms of either sign, a searched concordant pair for
+scans for the reduced forms of either sign and their cycles by neighbour
+lookup, a searched concordant pair for
 composition, direct product-group enumeration and the powers of every
 class for structures, the norm -1 twist and the unit-norm rule for wide
 classes, two cycle walks for a wide-class name, scanning Pell solvers, a
@@ -156,6 +157,40 @@ def enumerate_indefinite_oracle(d):
     return sorted(out)
 
 
+def class_map_by_raw_scan(d):
+    """Map each reduced primitive form of d to the least form of its proper
+    class, from the raw scans above: for d < 0 each reduced form is its own
+    class; for d > 0 the classes are the cycles of the right-neighbour map,
+    which sends (a, b, c) to the one reduced form (c, b', c') with
+    b' = -b (mod 2c), found by lookup among the scanned forms."""
+    if d < 0:
+        return {g: g for g in enumerate_definite_oracle(d)}
+    forms = enumerate_indefinite_oracle(d)
+    by_lead = {}
+    for g in forms:
+        by_lead.setdefault(g[0], []).append(g)
+
+    def neighbour(a, b, c):
+        (right,) = [g for g in by_lead[c] if (g[1] + b) % (2 * c) == 0]
+        return right
+
+    names = {}
+    for g in forms:
+        if g in names:
+            continue
+        cycle = [g]
+        while (x := neighbour(*cycle[-1])) != g:
+            cycle.append(x)
+        names.update(dict.fromkeys(cycle, min(cycle)))
+    return names
+
+
+def sublattice_count(n):
+    """The number of index-n sublattices of Z^2, sigma(n): the sum of the
+    divisors of n, by trial of every integer up to n."""
+    return sum(k for k in range(1, n + 1) if n % k == 0)
+
+
 def order_multiset_for_divisors(divisors):
     """Element-order multiset of Z/d1 + Z/d2 + ... by direct enumeration."""
     counter = Counter()
@@ -191,9 +226,9 @@ def group_structure_by_powers(d):
     order >= p^k). Built on the library's class map and composition kernel.
     """
     from rmarith.intmath import factorization
-    from rmarith.quadforms import ClassGroupStructure, _classes, _power, _reduce
+    from rmarith.quadforms import ClassGroupStructure, _classes, _power, _reduce, split_discriminant
 
-    names = _classes(d)
+    names = _classes(*split_discriminant(d))
     reps = set(names.values())
     h = len(reps)
     b0 = d % 2

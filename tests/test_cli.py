@@ -146,13 +146,14 @@ class TestClassgroup:
 
     def test_one_enumeration_per_discriminant(self, capsys, monkeypatch):
         # class numbers, structure and representatives are all read off the
-        # class map of D itself; the field of a non-fundamental D is not enumerated
+        # class map of D itself, built once: D is split into (d_K, f) at the
+        # boundary, and the field's map is lifted when f > 1
         real = quadforms._classes
         calls = Counter()
 
-        def counted(d):
-            calls[d] += 1
-            return real(d)
+        def counted(d_k, f=1):
+            calls[d_k * f * f] += 1
+            return real(d_k, f)
 
         monkeypatch.setattr(quadforms, "_classes", counted)
         for argv, d in ((["-D", "-23"], -23), (["-D", "60"], 60), (["-D", "-92"], -92),
@@ -161,6 +162,26 @@ class TestClassgroup:
             calls.clear()
             assert run_cli(["classgroup", *argv], capsys)[0] == 0
             assert calls == Counter({d: 1}), (argv, calls)
+
+    @pytest.mark.parametrize(
+        "d_k, f, narrow, wide, divisors, walks",
+        [(-2423, 2187, 48114, 48114, [48114], 0), (5, 20011, 2, 1, [2], 2)],
+        ids=["d-2423-f2187", "d5-f20011"],
+    )
+    def test_large_conductor_lifted_from_field(self, d_k, f, narrow, wide, divisors, walks,
+                                               capsys, kernel_work):
+        # a scan of D took 51 s and 6-8 s; the field is scanned instead and
+        # its classes lifted (TestLift bounds the sublattice forms reduced).
+        # For 5: one walk for the field's cycle pair, one for the order's
+        d = d_k * f * f
+        assert (quadforms.class_number(d, "narrow"), quadforms.class_number(d, "wide")) == (narrow, wide)
+        kernel_work.scans.clear()
+        kernel_work.walks = 0
+        data = run_json(["classgroup", "-d", str(d_k), "-f", str(f), "--json"], capsys)
+        assert kernel_work.scans == Counter({d_k: 1})
+        assert kernel_work.walks == walks
+        assert (data["D"], data["narrow"], data["wide"], data["divisors"]) == (d, narrow, wide, divisors)
+        assert len(data["representatives"]) == narrow
 
     def test_json_golden(self, capsys):
         data = run_json(["classgroup", "-D", "-23", "--json"], capsys)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from rmarith import cli, cmrm, contfrac, intmath, quadforms
@@ -11,6 +13,8 @@ from rmarith import (
     rm_conductor,
     rm_triple,
 )
+
+from oracles import sublattice_count
 
 
 class TestConductorMap:
@@ -68,9 +72,9 @@ class TestConductorMap:
         with pytest.raises(ValueError, match="conductor f must be positive"):
             rm_conductor(5, 0)
 
-    def test_radicand_factored_once(self, capsys, monkeypatch):
+    def test_radicand_factored_once(self, capsys, monkeypatch, kernel_work):
         # the squarefree core gives both fields' discriminants; only the
-        # radicand and, for rm_triple, QuadraticOrder's checks factor anything
+        # radicand is factored, and rm_triple builds its records unchecked
         real = intmath.squarefree_core
         calls = []
 
@@ -87,8 +91,13 @@ class TestConductorMap:
         capsys.readouterr()
         assert calls == [2]
         calls.clear()
+        kernel_work.scans.clear()
         rm_triple(2, 1)
-        assert calls == [2, 8, 8]
+        assert calls == [2]
+        # the imaginary field is scanned once; the real field once by the
+        # conductor scan and once for the lift; no unit: f' = 1 needs none
+        assert kernel_work.scans == Counter({-8: 1, 8: 2})
+        assert kernel_work.units == Counter()
 
     def test_scan_builds_the_field_unit_once(self, monkeypatch):
         # the unit's norm comes from the field unit: quadforms has no unit_norm
@@ -150,6 +159,27 @@ class TestRMTriple:
             triple = rm_triple(d, f)
             cm_h = class_number(fundamental_discriminant(-d) * f * f, "wide")
             assert len(triple.ideal_classes) == cm_h
+
+    def test_9967_4_lifted_from_the_scanned_field(self, kernel_work):
+        # once 23 s in a scan of D = 39868 * 389^2; now the wide classes are
+        # lifted from the field, D is never scanned, and they are counted
+        # against the scan's own wide class number
+        d_k, fp = 39868, 389
+        h_k = class_number(d_k, "wide")
+        wide = class_number(d_k * fp * fp, "wide")
+        target = class_number(fundamental_discriminant(-9967) * 4 * 4, "wide")
+        kernel_work.scans.clear()
+        kernel_work.units.clear()
+        kernel_work.reduced = 0
+        triple = rm_triple(9967, 4)
+        assert triple.order == QuadraticOrder(d_k, fp) and triple.field_discriminant == d_k
+        assert len(triple.ideal_classes) == wide == target == 78
+        assert kernel_work.scans == Counter({-9967: 1, d_k: 2})
+        assert kernel_work.units == Counter({d_k: 1})
+        assert 0 < kernel_work.reduced <= h_k * sublattice_count(fp)
+        assert list(triple.ideal_classes) == sorted(triple.ideal_classes, key=lambda g: (g.a, g.b))
+        assert len({quadforms._wide_canonical(g.a, g.b, g.c, d_k * fp * fp)
+                    for g in triple.ideal_classes}) == wide
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):

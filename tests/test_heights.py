@@ -128,7 +128,7 @@ class TestMinkowski:
             x = x.shift(-x.floor())
             value = minkowski_q(x)
             convs = convergents(cf_expand(x), 10)
-            bounds = [minkowski_stern_brocot(c) for c in convs[1:]]
+            bounds = [minkowski_stern_brocot(Fraction(p, q)) for p, q in convs[1:]]
             for lo_hi in zip(bounds, bounds[1:]):
                 assert min(lo_hi) < value < max(lo_hi), (x, lo_hi)
             done += 1

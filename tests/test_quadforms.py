@@ -37,6 +37,7 @@ from oracles import (
     apply_s,
     apply_t,
     apply_t_inv,
+    class_map_by_raw_scan,
     composition_table,
     concordant_compose,
     enumerate_definite_oracle,
@@ -46,6 +47,7 @@ from oracles import (
     is_reduced_indefinite,
     order_multiset_for_divisors,
     order_multiset_from_table,
+    sublattice_count,
     unit_index_linear,
     wide_canonical_two_walks,
     wide_class_number_by_unit_norm,
@@ -137,15 +139,17 @@ class TestEnumerate:
 
     def test_definite_matches_oracle(self):
         for d in valid_discriminants(-3000, 0):
-            assert sorted(quadforms._classes(d)) == enumerate_definite_oracle(d), d
+            assert sorted(quadforms._classes(*split_discriminant(d))) == enumerate_definite_oracle(d), d
 
     def test_indefinite_reduced_set_matches_oracle(self):
         for d in valid_discriminants(1, 3000):
-            assert sorted(quadforms._classes(d)) == enumerate_indefinite_oracle(d), d
+            assert sorted(quadforms._classes(*split_discriminant(d))) == enumerate_indefinite_oracle(d), d
 
     def test_no_trial_division(self, monkeypatch):
         # the reduced forms and the bounded matrices come from divisor-pair
-        # scans up to a square root, not from factoring
+        # scans up to a square root, not from factoring; a non-fundamental D
+        # is factored once, where the boundary splits it into (d_K, f), and
+        # the lift to conductor f factors nothing
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
@@ -154,6 +158,23 @@ class TestEnumerate:
         for d in (-3999971, -23, 5, 2042040):
             assert quadforms._classes(d)
         assert latimer._matrices_with_charpoly((1, -1, -1), 12)
+        for d_k, f in ((-3, 30), (-4, 10), (5, 20), (1009 * 1013, 2), (2042040, 3)):
+            assert quadforms._classes(d_k, f)
+
+        real = factorization
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(intmath, "factorization", counted)
+        monkeypatch.setattr(quadforms, "factorization", counted)
+        for d in (-2700, -400, 2000, 4 * 1009 * 1013, 9 * 2042040):
+            for call in (enumerate_reduced_forms, lambda d: class_representatives(d, "wide")):
+                calls.clear()
+                assert call(d)
+                assert calls == [d], (d, calls)
 
     def test_indefinite_one_cycle_for_8(self):
         assert len(enumerate_reduced_forms(8)) == 1
@@ -174,6 +195,50 @@ class TestEnumerate:
             enumerate_reduced_forms(9)
         with pytest.raises(InvalidDiscriminant):
             enumerate_reduced_forms(-6)
+
+
+class TestLift:
+    def test_class_map_matches_raw_scan(self):
+        # the field's map for fundamental D, the lifted one otherwise: keys
+        # and names, against raw scans whose cycles come from neighbour lookup
+        for d in valid_discriminants(-2999, 3000):
+            assert quadforms._classes(*split_discriminant(d)) == class_map_by_raw_scan(d), d
+
+    def test_single_form_names_match_raw_scan(self):
+        # the Latimer keys walk the same cycles one form at a time
+        for d in valid_discriminants(5, 1000):
+            names = class_map_by_raw_scan(d)
+            for (a, b, c), name in names.items():
+                assert quadforms._canonical(a, b, c, d) == name, (d, a, b, c)
+                wide = min(name, names[-a, b, -c])
+                assert quadforms._wide_canonical(a, b, c, d) == wide, (d, a, b, c)
+
+    @pytest.mark.parametrize(
+        "d_k, f",
+        [(-3, 30), (-4, 60), (-84, 25), (-2423, 9), (5, 12), (12, 35), (1009 * 1013, 2),
+         (8, 105), (-2423, 2187), (5, 20011)],
+    )
+    def test_one_field_scan_and_sigma_f_sublattices(self, d_k, f, kernel_work):
+        # one scan, of d_K and none of D; at most h_K * sigma(f) sublattice forms reduced
+        h_k, narrow = class_number(d_k, "wide"), class_number(d_k * f * f, "narrow")
+        kernel_work.scans.clear()
+        kernel_work.reduced = 0
+        names = quadforms._classes(d_k, f)
+        assert kernel_work.scans == Counter({d_k: 1})
+        assert 0 < kernel_work.reduced <= h_k * sublattice_count(f)
+        assert len(set(names.values())) == narrow
+
+    @pytest.mark.parametrize("d_k, f", [(5, 1), (60, 1), (5, 12), (12, 35)])
+    def test_walked_forms_checked(self, d_k, f, monkeypatch):
+        # a cycle that leaves the reduced forms: the field's map misses it by
+        # count, the lift by testing each walked form
+        field = quadforms._classes(d_k)
+        real_cycle = quadforms._cycle
+        d = d_k * f * f
+        stray = (1, -(d % 4), (d % 4 - d) // 4)  # b <= 0: not reduced
+        monkeypatch.setattr(quadforms, "_cycle", lambda a, b, c, d: [*real_cycle(a, b, c, d), stray])
+        with pytest.raises(AssertionError, match="left the reduced forms" if f == 1 else "not reduced"):
+            quadforms._classes(d_k) if f == 1 else quadforms._lift(field, d_k, f)
 
 
 class TestClassNumber:
@@ -348,7 +413,7 @@ class TestStructure:
         # at most 2 * (sum over p^e || h of p^e ceil(log2 2p), plus r ceil(log2 h)),
         # r counting the _power calls to an exponent h/p^e: the projected
         # classes, and any order check to a prime power equal to one of those
-        names = quadforms._classes(d)
+        names = quadforms._classes(*split_discriminant(d))
         h = len(set(names.values()))
         sylow = factorization(h)
         projections = {h // p**e for p, e in sylow}
@@ -395,7 +460,7 @@ class TestStructure:
     )
     def test_corrupted_class_map_raises(self, d, alias, match):
         # the last class leaves the map, or its forms are named as class `alias`
-        names = quadforms._classes(d)
+        names = quadforms._classes(*split_discriminant(d))
         reps = sorted(set(names.values()))
         if alias is None:
             names = {g: x for g, x in names.items() if x != reps[-1]}
@@ -418,21 +483,19 @@ class TestStructure:
             assert class_group_structure(d).h == class_number(d, "narrow")
 
     @pytest.mark.parametrize("d", [60, 2042040, 4 * 1009 * 1013])
-    def test_one_rho_walk_per_narrow_class(self, d, monkeypatch):
-        h = class_number(d, "narrow")
-        real_cycle = quadforms._cycle
-        walks = 0
-
-        def counting_cycle(a, b, c, d):
-            nonlocal walks
-            walks += 1
-            return real_cycle(a, b, c, d)
-
-        monkeypatch.setattr(quadforms, "_cycle", counting_cycle)
+    def test_one_rho_walk_per_narrow_class(self, d, kernel_work):
+        # one walk per pair {C, -C} of negated cycles, (a, b, c) -> (-a, b, -c):
+        # of the field, then of the order when D is not fundamental
+        d_k, f = split_discriminant(d)
+        maps = [quadforms._classes(d_k)] + ([quadforms._classes(d_k, f)] if f > 1 else [])
+        pairs = sum(
+            len({frozenset((c, names[-c[0], c[1], -c[2]])) for c in names.values()})
+            for names in maps
+        )
         for call in (class_group_structure, lambda d: class_representatives(d, "wide")):
-            walks = 0
+            kernel_work.walks = 0
             call(d)
-            assert walks == h, (d, call)
+            assert kernel_work.walks == pairs, (d, call)
 
 
 class TestTwoPart:
@@ -544,7 +607,7 @@ class TestWideRepresentatives:
         rng = random.Random(12)
         steps = (apply_s, apply_t, apply_t_inv)
         for d in list(valid_discriminants(-800, 0)) + list(valid_discriminants(5, 800)):
-            for a, b, c in quadforms._classes(d):
+            for a, b, c in quadforms._classes(*split_discriminant(d)):
                 for form in ((a, b, c), (-a, b, -c)):
                     for _ in range(rng.randint(0, 6)):
                         form = rng.choice(steps)(*form)

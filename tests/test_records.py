@@ -12,7 +12,7 @@ import pytest
 
 from rmarith.cmrm import RMTriple
 from rmarith.contfrac import BratteliBlockSequence, ContinuedFraction, QuadraticIrrational
-from rmarith.errors import Record
+from rmarith.errors import InvalidDiscriminant, Record
 from rmarith.heights import ProjectivePoint, VarietyProfile
 from rmarith.latimer import IntegerMatrix, ShaReport, SimilarityClassification
 from rmarith.quadforms import BinaryQuadraticForm, ClassGroupStructure, QuadraticOrder
@@ -189,3 +189,25 @@ def test_copy_and_pickle_round_trips(cls):
         assert repr(twin) == CASES[cls][2]
         with pytest.raises(AttributeError):
             setattr(twin, CASES[cls][1][0], 0)
+
+
+def test_trusted_construction_skips_the_checks():
+    # for values the library has just computed: same record, no __post_init__
+    order = QuadraticOrder._trusted(5, 3)
+    assert type(order) is QuadraticOrder and order == QuadraticOrder(5, 3)
+    assert hash(order) == hash(QuadraticOrder(5, 3)) and repr(order) == CASES[QuadraticOrder][2]
+    with pytest.raises(AttributeError):
+        order.f = 1
+    triple = RMTriple._trusted(order, (BinaryQuadraticForm(1, 1, -1),), 5)
+    assert triple.order is order and triple.field_discriminant == 5
+    # every field is given: a default is not filled in
+    with pytest.raises(TypeError, match=r"takes 2 fields, got 1"):
+        QuadraticOrder._trusted(5)
+    with pytest.raises(TypeError, match=r"takes 3 fields, got 4"):
+        RMTriple._trusted(order, (), 5, 1)
+    # the public constructors keep their checks
+    assert QuadraticOrder._trusted(45, 1).d_k == 45
+    with pytest.raises(InvalidDiscriminant):
+        QuadraticOrder(45, 1)
+    with pytest.raises(ValueError, match="representatives for class number"):
+        RMTriple(order, (), 5)
